@@ -4,8 +4,9 @@ On top of a finalized heap this adds, in one linear pass each:
 
 * ``node_of``: position -> node holding it (primary or secondary slot);
 * discovery/finishing times from one DFS, giving O(1) ancestor tests by
-  interval containment, plus the balanced-parenthesis encoding of the
-  same traversal as an alternative ancestor structure;
+  interval containment; the balanced-parenthesis encoding of the same
+  traversal (``parens``), an alternative ancestor structure, is built on
+  first use;
 * maximal-reach targets: for every position i, the node of the longest
   prefix of T[i..n] that is represented in the heap.  Computed with a
   single read head that never moves backwards: extend the current match
@@ -22,8 +23,9 @@ Depth recovery is rank1(select0(i)) - i + 1.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 
-from .bitvec import BitVector, ParenSequence
+from .bitvec import BitVector, ParenSequence, parens_from_heap
 from .heap import PositionHeap
 
 
@@ -61,8 +63,6 @@ class AugmentedHeap:
         fin = array("i", bytes(4 * n_nodes))
         pre = array("i", bytes(4 * n_nodes))
         by_pre = array("i", bytes(4 * n_nodes))
-        bits = bytearray()
-        open_of = array("i", bytes(4 * n_nodes))
         clock = 0
         counter = 0
         stack = [(0, 0)]
@@ -70,8 +70,6 @@ class AugmentedHeap:
         disc[0] = clock
         pre[0] = 0
         by_pre[0] = 0
-        bits.append(1)
-        open_of[0] = 1
         while stack:
             v, idx = stack[-1]
             if idx < len(kids[v]):
@@ -82,19 +80,20 @@ class AugmentedHeap:
                 counter += 1
                 pre[w] = counter
                 by_pre[counter] = w
-                bits.append(1)
-                open_of[w] = len(bits)
                 stack.append((w, 0))
             else:
                 clock += 1
                 fin[v] = clock
-                bits.append(0)
                 stack.pop()
         self.disc = disc
         self.fin = fin
         self._pre = pre
         self._by_pre = by_pre
-        self.parens = ParenSequence(BitVector(bits), open_of)
+
+    @cached_property
+    def parens(self) -> ParenSequence:
+        """Balanced-parenthesis encoding of the letter-ordered DFS."""
+        return parens_from_heap(self.heap)
 
     def _compute_mrp(self):
         heap = self.heap

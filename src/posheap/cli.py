@@ -156,7 +156,7 @@ def cmd_verify(cfg: Config) -> int:
         except IndexFileError as e:
             print(f"FAIL index file: {e}")
             return 1
-        print("ok   index file: structure, text recovery, reach depths")
+        print("ok   index file: version, fields, text length, crc32, rebuild")
         return 0
     ok = run_verify(max_n=cfg.max_n, alphabet_size=cfg.alphabet_size, seed=cfg.seed)
     return 0 if ok else 1

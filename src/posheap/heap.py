@@ -451,7 +451,8 @@ class PositionHeap:
     def children_of(self, v: int) -> list[tuple[int, int]]:
         """(letter, child) pairs of v in increasing letter order."""
         self._check_node(v)
-        return self.children_lists()[v]
+        child = self.child
+        return [(c, w) for c in range(256) if (w := child(v, c)) is not None]
 
     def children_lists(self) -> list[list[tuple[int, int]]]:
         """Letter-sorted adjacency for all nodes; built per call."""
@@ -520,7 +521,7 @@ class PositionHeap:
             depth=self.depth(v),
             primary=self.primary(v),
             secondary=self.secondary(v),
-            children=dict((c, w) for c, w in self.children_of(v)),
+            children=dict(self.children_of(v)),
         )
 
     def copy(self) -> "PositionHeap":

@@ -1,27 +1,29 @@
 """Versioned JSON index files and DOT rendering.
 
-The index file stores the node table (tree shape, suffix links, stored
-positions) plus the reach depths; the text itself is not stored because
-a finalized heap determines it: position i's first letter is the edge
-letter of the depth-1 ancestor of the node storing i.  The loader
-rebuilds the heap, recovers the text, recomputes the augmentation and
-cross-checks the stored reach depths, so any structural corruption is
-reported with a concrete diff.
+An index file stores the text and its CRC32, nothing else: a finalized
+position heap is a deterministic function of its text, and the on-line
+construction rebuilds it in linear time.  The loader checks every field,
+the text length and the checksum, then builds and augments the heap, so
+a damaged file is rejected instead of answering queries from a wrong
+structure.
 
-Field order and separators are fixed, which makes save -> load -> save
-byte-identical.
+Version 2 is one JSON line with fixed field order and compact separators:
+
+    {"version":2,"text_length":n,"crc32":c,"text":"<text as latin-1>"}
+
+which makes save -> load -> save byte-identical.  Version 1 files (the
+node table) are rejected.
 """
 
 from __future__ import annotations
 
 import json
-from array import array
+import zlib
 
-from . import heap as heap_mod
 from .augmented import AugmentedHeap, augment
-from .heap import PositionHeap
+from .heap import index
 
-INDEX_FORMAT_VERSION = 1
+INDEX_FORMAT_VERSION = 2
 
 
 class IndexFileError(ValueError):
@@ -34,157 +36,52 @@ def save_index(aug: AugmentedHeap, fp) -> None:
 
 
 def index_json(aug: AugmentedHeap) -> str:
-    heap = aug.heap
-    n_nodes = heap.node_count()
-    parent, letter, depth = heap._materialize()
-    suffix = heap._suffix
-    sec = heap._secondary
-    nodes = []
-    for v in range(n_nodes):
-        if v == 0:
-            nodes.append([0, None, None, None, None, None, 0])
-        else:
-            nodes.append(
-                [v, parent[v], letter[v], suffix[v], v, sec.get(v), depth[v]]
-            )
+    data = aug.heap.text_bytes()
     doc = {
         "version": INDEX_FORMAT_VERSION,
-        "text_length": heap.n,
-        "alphabet": "byte",
-        "active_node": heap.active_node,
-        "active_position": heap.active_position,
-        "nodes": nodes,
-        "mrp_depths": list(aug.mrp_depths()),
+        "text_length": len(data),
+        "crc32": zlib.crc32(data),
+        "text": data.decode("latin-1"),
     }
     return json.dumps(doc, separators=(",", ":")) + "\n"
 
 
 def load_index(fp) -> AugmentedHeap:
-    """Parse, validate, and rebuild; raises IndexFileError on any defect."""
+    """Parse, check, and rebuild; raises IndexFileError on any defect."""
     try:
-        doc = json.load(fp)
-    except json.JSONDecodeError as e:
+        doc = json.loads(fp.read())
+    except (ValueError, RecursionError) as e:
         raise IndexFileError(f"not valid JSON: {e}") from None
-    diff = _structural_diff(doc)
-    if diff is not None:
-        raise IndexFileError(diff)
-    return _rebuild(doc)
-
-
-def _structural_diff(doc) -> str | None:
-    """Validate the parsed document; returns a human-readable diff or None."""
     if not isinstance(doc, dict):
-        return "top level is not an object"
+        raise IndexFileError("top level is not an object")
     version = doc.get("version")
-    if version != INDEX_FORMAT_VERSION:
-        return f"unsupported index version: {version!r} (expected {INDEX_FORMAT_VERSION})"
-    for key in ("text_length", "active_node", "active_position", "nodes"):
-        if key not in doc:
-            return f"missing field: {key}"
-    n = doc["text_length"]
-    nodes = doc["nodes"]
-    if not isinstance(n, int) or n < 0:
-        return f"bad text_length: {n!r}"
-    if not isinstance(nodes, list) or not nodes:
-        return "nodes must be a nonempty list"
-    n_nodes = len(nodes)
-    depth = [0] * n_nodes
-    seen_edges = set()
-    secondaries = {}
-    for i, rec in enumerate(nodes):
-        if not (isinstance(rec, list) and len(rec) == 7):
-            return f"node {i}: record must be [id,parent,letter,suffix,primary,secondary,depth]"
-        vid, par, let, suf, prim, sec, dep = rec
-        if vid != i:
-            return f"node {i}: id {vid!r} out of order"
-        if i == 0:
-            if (par, let, suf, prim, sec, dep) != (None, None, None, None, None, 0):
-                return "node 0: root record must be all-null with depth 0"
-            continue
-        if not (isinstance(par, int) and 0 <= par < i):
-            return f"node {i}: parent {par!r} must precede the node"
-        if not (isinstance(let, int) and 0 <= let <= 255):
-            return f"node {i}: letter {let!r} out of byte range"
-        if (par, let) in seen_edges:
-            return f"node {i}: duplicate {let}-edge out of node {par}"
-        seen_edges.add((par, let))
-        if dep != depth[par] + 1:
-            return f"node {i}: depth {dep!r} != parent depth + 1"
-        depth[i] = dep
-        if prim != i:
-            return f"node {i}: primary {prim!r} != id"
-        if not (isinstance(suf, int) and 0 <= suf < n_nodes):
-            return f"node {i}: suffix link {suf!r} out of range"
-        if sec is not None:
-            if not (isinstance(sec, int) and 1 <= sec <= n):
-                return f"node {i}: secondary {sec!r} out of range"
-            if sec in secondaries.values():
-                return f"node {i}: duplicate secondary position {sec}"
-            secondaries[i] = sec
-    # suffix links may point at later-created nodes, so their depth
-    # relation can only be checked once all depths are known
-    for i, rec in enumerate(nodes):
-        if i == 0:
-            continue
-        suf, dep = rec[3], rec[6]
-        if depth[suf] != dep - 1:
-            return f"node {i}: suffix link target depth {depth[suf]} != {dep - 1}"
-    s = doc["active_position"]
-    if s != n_nodes:
-        return f"active_position {s!r} != node count {n_nodes}"
-    if sorted(secondaries.values()) != list(range(s, n + 1)):
-        return (
-            f"secondary positions {sorted(secondaries.values())} are not "
-            f"the interval [{s}..{n}]"
+    if type(version) is not int or version != INDEX_FORMAT_VERSION:
+        raise IndexFileError(
+            f"unsupported index version: {version!r} (expected {INDEX_FORMAT_VERSION})"
         )
-    act = doc["active_node"]
-    if not (isinstance(act, int) and 0 <= act < n_nodes):
-        return f"active_node {act!r} out of range"
-    if depth[act] != n + 1 - s:
-        return f"active node depth {depth[act]} != {n + 1 - s}"
-    md = doc.get("mrp_depths")
-    if md is not None:
-        if not (isinstance(md, list) and len(md) == n):
-            return f"mrp_depths must be a list of length {n}"
-        if any(not isinstance(x, int) or x < 0 for x in md):
-            return "mrp_depths entries must be nonnegative ints"
-    return None
-
-
-def _rebuild(doc) -> AugmentedHeap:
-    nodes = doc["nodes"]
-    n = doc["text_length"]
-    n_nodes = len(nodes)
-    h = PositionHeap()
-    h._suffix = [-1] + [rec[3] for rec in nodes[1:]]
-    h._edge = {(rec[1] << 8) | rec[2]: rec[0] for rec in nodes[1:]}
-    h._secondary = {rec[0]: rec[5] for rec in nodes[1:] if rec[5] is not None}
-    h._active = doc["active_node"]
-    h._finalized = True
-    # recover the text: position i starts with the edge letter of the
-    # depth-1 ancestor of the node storing i
-    top = array("i", bytes(4 * n_nodes))
-    text = bytearray(n)
-    for rec in nodes[1:]:
-        vid, par, let = rec[0], rec[1], rec[2]
-        top[vid] = vid if par == 0 else top[par]
-        text[vid - 1] = nodes[top[vid]][2]
-    for vid, pos in h._secondary.items():
-        text[pos - 1] = nodes[top[vid]][2]
-    h._text = bytearray(text)
-    if len(h._text) >= heap_mod._FLAT_THRESHOLD:
-        h._migrate_to_flat()
-    aug = augment(h)
-    md = doc.get("mrp_depths")
-    if md is not None:
-        got = list(aug.mrp_depths())
-        if got != md:
-            bad = next(i for i in range(n) if got[i] != md[i])
+    for key, typ in (("text_length", int), ("crc32", int), ("text", str)):
+        if key not in doc:
+            raise IndexFileError(f"missing field: {key}")
+        if type(doc[key]) is not typ:
             raise IndexFileError(
-                f"stored mrp depth at position {bad + 1} is {md[bad]} but the "
-                f"structure implies {got[bad]}"
+                f"{key} must be {typ.__name__}, not {type(doc[key]).__name__}"
             )
-    return aug
+    try:
+        data = doc["text"].encode("latin-1")
+    except UnicodeEncodeError:
+        raise IndexFileError("text has a character above U+00FF") from None
+    if len(data) != doc["text_length"]:
+        raise IndexFileError(
+            f"text is {len(data)} bytes but text_length is {doc['text_length']}"
+        )
+    crc = zlib.crc32(data)
+    if crc != doc["crc32"]:
+        raise IndexFileError(f"text checksum {crc} != stored crc32 {doc['crc32']}")
+    try:
+        heap = index(data)
+    except ValueError as e:  # text too long for this index
+        raise IndexFileError(str(e)) from None
+    return augment(heap)
 
 
 # ----------------------------------------------------------------------

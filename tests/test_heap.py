@@ -307,10 +307,19 @@ def test_node_view(ref_heap, node_by_label):
     assert root.parent is None and root.primary is None
 
 
-def test_children_sorted_by_letter():
+def test_children_sorted_by_letter(monkeypatch):
+    import posheap.heap as hp
+
     h = index(b"cba")
     kids = h.children_of(0)
     assert [c for c, _ in kids] == sorted(c for c, _ in kids)
+    # children_of probes child() per letter; it must match the whole-tree
+    # lists in small and flat mode alike
+    for threshold in (hp._FLAT_THRESHOLD, 4):
+        monkeypatch.setattr(hp, "_FLAT_THRESHOLD", threshold)
+        h = hp.index(REF_TEXT + bytes(range(0, 256, 5)) + REF_TEXT)
+        assert h._flat == (threshold == 4)
+        assert [h.children_of(v) for v in range(h.node_count())] == h.children_lists()
 
 
 def test_to_bytes_coercion():

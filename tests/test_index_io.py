@@ -1,19 +1,14 @@
 import io
 import json
 import random
+import zlib
 
 import pytest
 
 from posheap import augment, index, recover_text
-from posheap.index_io import (
-    IndexFileError,
-    _structural_diff,
-    index_dot,
-    index_json,
-    load_index,
-)
+from posheap.index_io import IndexFileError, index_dot, index_json, load_index
 
-from conftest import REF_TEXT
+from conftest import REF_TEXT, all_strings
 
 
 def roundtrip(s: bytes):
@@ -42,12 +37,23 @@ def test_loaded_index_answers_queries():
     assert find_all(aug2, b"aab") == find_all_naive(s, b"aab")
 
 
+def saved_doc() -> dict:
+    return json.loads(roundtrip(REF_TEXT)[1])
+
+
+def load_doc(doc):
+    return load_index(io.StringIO(json.dumps(doc)))
+
+
 def test_version_mismatch_is_hard_error():
-    _, blob, _ = roundtrip(b"abc")
-    doc = json.loads(blob)
-    doc["version"] = 999
-    with pytest.raises(IndexFileError, match="version"):
-        load_index(io.StringIO(json.dumps(doc)))
+    # version 1 files stored the node table; no reader for them remains
+    for version in (1, 999):
+        doc = saved_doc()
+        doc["version"] = version
+        with pytest.raises(
+            IndexFileError, match=rf"unsupported index version: {version} \(expected 2\)"
+        ):
+            load_doc(doc)
 
 
 def test_not_json():
@@ -55,55 +61,106 @@ def test_not_json():
         load_index(io.StringIO("definitely not json{"))
 
 
+def test_file_is_text_and_checksum():
+    _, blob, _ = roundtrip(REF_TEXT)
+    assert blob == (
+        '{"version":2,"text_length":13,"crc32":%d,"text":"aababbbaabaab"}\n'
+        % zlib.crc32(REF_TEXT)
+    )
+
+
+def test_every_single_byte_text_change_rejected():
+    doc = saved_doc()
+    text = doc["text"]
+    for i in range(len(text)):
+        for c in range(256):
+            if chr(c) == text[i]:
+                continue
+            doc["text"] = text[:i] + chr(c) + text[i + 1:]
+            with pytest.raises(IndexFileError, match="crc32"):
+                load_doc(doc)
+
+
+def test_wrong_text_length_rejected():
+    for length in (0, 12, 14):
+        doc = saved_doc()
+        doc["text_length"] = length
+        with pytest.raises(IndexFileError, match="text_length"):
+            load_doc(doc)
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("key", ["version", "text_length", "crc32", "text"])
 @pytest.mark.parametrize(
-    "mutate,message",
-    [
-        (lambda d: d["nodes"][2].__setitem__(1, 5), "parent"),
-        (lambda d: d["nodes"][1].__setitem__(2, 999), "letter"),
-        (lambda d: d["nodes"][2].__setitem__(6, 7), "depth"),
-        (lambda d: d["nodes"][1].__setitem__(4, 9), "primary"),
-        (lambda d: d.__setitem__("active_position", 1), "active_position"),
-        (lambda d: d["nodes"][1].__setitem__(3, 77), "suffix"),
-        (lambda d: d["mrp_depths"].__setitem__(0, 0), "mrp"),
-    ],
+    "value", [MISSING, None, 2.0, True, [], {}],
+    ids=["missing", "null", "float", "bool", "list", "object"],
 )
-def test_corrupted_index_fails_with_diff(mutate, message):
-    _, blob, _ = roundtrip(REF_TEXT)
-    doc = json.loads(blob)
-    mutate(doc)
+def test_missing_or_mistyped_field_rejected(key, value):
+    doc = saved_doc()
+    if value is MISSING:
+        del doc[key]
+    else:
+        doc[key] = value
     with pytest.raises(IndexFileError):
-        load_index(io.StringIO(json.dumps(doc)))
+        load_doc(doc)
 
 
-def test_corrupted_secondary_interval():
+def test_non_latin1_text_rejected():
+    doc = saved_doc()
+    doc["text"] = "aab\u2603bbbaabaab"
+    with pytest.raises(IndexFileError, match="U\\+00FF"):
+        load_doc(doc)
+
+
+def test_top_level_not_an_object():
+    for blob in ("[]", "2", '"text"', "null"):
+        with pytest.raises(IndexFileError, match="object"):
+            load_index(io.StringIO(blob))
+
+
+def test_damaged_file_never_loads_another_text():
+    # overwrite each character of a saved file in turn: the result either
+    # fails with IndexFileError or still holds the original text
     _, blob, _ = roundtrip(REF_TEXT)
-    doc = json.loads(blob)
-    # REF_TEXT has secondaries 12 and 13; break the interval
-    for rec in doc["nodes"]:
-        if rec[5] == 13:
-            rec[5] = 11
-    err = _structural_diff(doc)
-    assert err is not None and "interval" in err
+    for i in range(len(blob)):
+        for ch in '0 9"{}[],:\\ab\u00e9\u2603':
+            damaged = blob[:i] + ch + blob[i + 1:]
+            try:
+                aug = load_index(io.StringIO(damaged))
+            except IndexFileError:
+                continue
+            assert recover_text(aug.heap) == REF_TEXT
 
 
 def test_missing_mrp_depths_is_recomputed():
-    aug, blob, _ = roundtrip(REF_TEXT)
-    doc = json.loads(blob)
-    doc["mrp_depths"] = None
-    aug2 = load_index(io.StringIO(json.dumps(doc)))
+    # a file carries no reach depths; the loader recomputes them
+    aug, blob, aug2 = roundtrip(REF_TEXT)
+    assert "mrp" not in blob
     assert list(aug2.mrp_depths()) == list(aug.mrp_depths())
 
 
-def test_swapped_suffix_links_detected():
-    # swapping two same-depth suffix links keeps the depth relation but
-    # changes the reach depths, which the stored array then contradicts
-    _, blob, _ = roundtrip(b"aababbbaabaab")
-    doc = json.loads(blob)
-    nodes = doc["nodes"]
-    assert nodes[4][3] != nodes[9][3] and nodes[4][6] == nodes[9][6]
-    nodes[4][3], nodes[9][3] = nodes[9][3], nodes[4][3]
-    with pytest.raises(IndexFileError):
-        load_index(io.StringIO(json.dumps(doc)))
+def fibonacci_word(min_len: int) -> bytes:
+    a, b = b"a", b"ab"
+    while len(b) < min_len:
+        a, b = b, b + a
+    return b
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"a" * 32768, b"abc" * 10923, fibonacci_word(28657)],
+    ids=["unary", "periodic", "fibonacci"],
+)
+def test_adversarial_roundtrip(text):
+    from posheap import find_all, find_all_naive
+
+    aug, blob, aug2 = roundtrip(text)
+    assert index_json(aug2) == blob
+    assert recover_text(aug2.heap) == text
+    for pattern in all_strings(bytes(sorted(set(text))), 4, min_len=1):
+        assert find_all(aug2, pattern) == find_all_naive(text, pattern), pattern
 
 
 def test_dot_reference_counts(ref_heap):
