@@ -3,10 +3,12 @@
 On top of a finalized heap this adds, in one linear pass each:
 
 * ``node_of``: position -> node holding it (primary or secondary slot);
-* discovery/finishing times from one DFS, giving O(1) ancestor tests by
-  interval containment; the balanced-parenthesis encoding of the same
-  traversal (``parens``), an alternative ancestor structure, is built on
-  first use;
+* a preorder range [pre, last] per node from two passes over the parent
+  array (parents precede children), giving O(1) ancestor tests by
+  interval containment and subtrees as slices of ``by_pre``; children
+  are numbered in id order, which containment does not care about.  The
+  balanced-parenthesis encoding of the letter-ordered DFS (``parens``),
+  an alternative ancestor structure, is built on first use;
 * maximal-reach targets: for every position i, the node of the longest
   prefix of T[i..n] that is represented in the heap.  Computed with a
   single read head that never moves backwards: extend the current match
@@ -38,7 +40,7 @@ class AugmentedHeap:
         self.heap = heap
         self.n = heap.n
         self._build_node_of()
-        self._dfs()
+        self._intervals()
         self._compute_mrp()
 
     # ------------------------------------------------------------------
@@ -55,39 +57,29 @@ class AugmentedHeap:
             raise AssertionError("position->node map has holes")
         self._node_of = node_of
 
-    def _dfs(self):
-        heap = self.heap
-        n_nodes = heap.node_count()
-        kids = heap.children_lists()
-        disc = array("i", bytes(4 * n_nodes))
-        fin = array("i", bytes(4 * n_nodes))
+    def _intervals(self):
+        parent = self.heap._materialize()[0]
+        n_nodes = len(parent)
+        size = array("i", [1]) * n_nodes
+        for w in range(n_nodes - 1, 0, -1):
+            size[parent[w]] += size[w]
         pre = array("i", bytes(4 * n_nodes))
+        last = array("i", bytes(4 * n_nodes))
         by_pre = array("i", bytes(4 * n_nodes))
-        clock = 0
-        counter = 0
-        stack = [(0, 0)]
-        clock += 1
-        disc[0] = clock
-        pre[0] = 0
-        by_pre[0] = 0
-        while stack:
-            v, idx = stack[-1]
-            if idx < len(kids[v]):
-                stack[-1] = (v, idx + 1)
-                w = kids[v][idx][1]
-                clock += 1
-                disc[w] = clock
-                counter += 1
-                pre[w] = counter
-                by_pre[counter] = w
-                stack.append((w, 0))
-            else:
-                clock += 1
-                fin[v] = clock
-                stack.pop()
-        self.disc = disc
-        self.fin = fin
-        self._pre = pre
+        last[0] = n_nodes - 1
+        # size[v] becomes the next free preorder slot for v's children
+        size[0] = 1
+        for w in range(1, n_nodes):
+            p = parent[w]
+            slot = size[p]
+            sz = size[w]
+            pre[w] = slot
+            last[w] = slot + sz - 1
+            by_pre[slot] = w
+            size[p] = slot + sz
+            size[w] = slot + 1
+        self.pre = pre
+        self.last = last
         self._by_pre = by_pre
 
     @cached_property
@@ -160,14 +152,12 @@ class AugmentedHeap:
         return v, self.heap.depth(v)
 
     def is_ancestor(self, u: int, v: int) -> bool:
-        """Ancestor-or-self test by DFS interval containment; O(1)."""
-        return self.disc[u] <= self.disc[v] and self.fin[v] <= self.fin[u]
+        """Ancestor-or-self test by preorder range containment; O(1)."""
+        return self.pre[u] <= self.pre[v] <= self.last[u]
 
     def subtree_nodes(self, v: int):
         """All nodes in v's subtree (preorder slice; O(size))."""
-        size = (self.fin[v] - self.disc[v] + 1) // 2
-        start = self._pre[v]
-        return self._by_pre[start:start + size]
+        return self._by_pre[self.pre[v]:self.last[v] + 1]
 
     def encode_mrp(self) -> "MrpBits":
         return MrpBits.from_depths(self.mrp_depths())

@@ -93,7 +93,13 @@ def _read_input(path: str) -> bytes:
 
 def _write_output(path: str | None, payload: str) -> None:
     if path is None:
-        sys.stdout.write(payload)
+        # UTF-8 whatever the locale; io.StringIO (no buffer) takes the str
+        out = getattr(sys.stdout, "buffer", None)
+        if out is None:
+            sys.stdout.write(payload)
+        else:
+            sys.stdout.flush()
+            out.write(payload.encode("utf-8"))
         return
     try:
         with open(path, "w", encoding="utf-8") as f:

@@ -20,6 +20,11 @@ nodes are created in increasing primary-position order, so the primary
 position of a non-root node equals its id.  That coincidence is an
 implementation property of this module: callers should use
 ``primary()`` rather than relying on it.
+
+The builder records each node's parent at creation (``_parent``, kept in
+step with ``_suffix``); since the parent is created first, parent(w) < w.
+Node w's path label is the prefix T[w..w+depth(w)-1] of its own suffix,
+so its in-letter is T[w+depth(w)-1] and needs no edge-table lookup.
 """
 
 from __future__ import annotations
@@ -75,6 +80,7 @@ class PositionHeap:
     def __init__(self):
         self._text = bytearray()
         self._suffix = [-1]          # suffix_link per node; -1 = virtual bottom
+        self._parent = [-1]          # parent per node, recorded at creation
         self._secondary = {}         # node -> secondary position, set by finalize
         self._active = 0
         self._finalized = False
@@ -185,6 +191,7 @@ class PositionHeap:
     def _step_small(self, c: int) -> None:
         edge = self._edge
         suffix = self._suffix
+        parent = self._parent
         cur = self._active
         n_nodes = len(suffix)
         self._text.append(c)
@@ -198,6 +205,7 @@ class PositionHeap:
             if nxt != n_nodes:
                 break
             suffix.append(0)
+            parent.append(cur)
             if prev >= 0:
                 suffix[prev] = n_nodes
             prev = n_nodes
@@ -210,13 +218,19 @@ class PositionHeap:
     def _extend_small(self, data: bytes) -> None:
         edge = self._edge
         suffix = self._suffix
+        parent = self._parent
         setd = edge.setdefault
-        sapp = suffix.append
         cur = self._active
         n_nodes = len(suffix)
-        self._text.extend(data)
+        text = self._text
+        # preallocated like _extend_flat (the active depth is k+1-s)
+        spare = len(text) + 1 - n_nodes + len(data) + 2
+        suffix += [0] * spare
+        parent += [0] * spare
+        dump = len(suffix) - 1
+        text.extend(data)
         for c in data:
-            prev = -1
+            prev = dump
             while True:
                 if cur < 0:
                     nxt = 0
@@ -224,15 +238,15 @@ class PositionHeap:
                 nxt = setd((cur << 8) | c, n_nodes)
                 if nxt != n_nodes:
                     break
-                sapp(0)
-                if prev >= 0:
-                    suffix[prev] = n_nodes
+                parent[n_nodes] = cur
+                suffix[prev] = n_nodes
                 prev = n_nodes
                 n_nodes += 1
                 cur = suffix[cur]
-            if prev >= 0:
-                suffix[prev] = nxt
+            suffix[prev] = nxt
             cur = nxt
+        del suffix[n_nodes:]
+        del parent[n_nodes:]
         self._active = cur
 
     # ------------------------------------------------------------------
@@ -251,27 +265,26 @@ class PositionHeap:
         # int32 view over a zeroed buffer: cheap to allocate, fast to index
         l3 = memoryview(bytearray(4 << 24)).cast("i")
         deep = [{} for _ in range(256)]
-        if self._edge:
-            parent, letter, depth = self._materialize()
-            for key, w in self._edge.items():
-                v = key >> 8
-                c = key & 0xFF
-                d = depth[v]
-                if d == 0:
-                    l1[c] = w
-                elif d == 1:
-                    l2[(letter[v] << 8) | c] = w
-                elif d == 2:
-                    l3[(letter[parent[v]] << 16) | (letter[v] << 8) | c] = w
-                else:
-                    deep[c][v] = w
+        parent, letter, depth = self._materialize()
+        for w in range(1, len(parent)):
+            v = parent[w]
+            c = letter[w]
+            d = depth[v]
+            if d == 0:
+                l1[c] = w
+            elif d == 1:
+                l2[(letter[v] << 8) | c] = w
+            elif d == 2:
+                l3[(letter[parent[v]] << 16) | (letter[v] << 8) | c] = w
+            else:
+                deep[c][v] = w
         self._edge = None
         self._l1, self._l2, self._l3, self._deep = l1, l2, l3, deep
         self._flat = True
-        self._mat_nodes = -1
 
     def _step_flat(self, c: int) -> None:
         suffix = self._suffix
+        parent = self._parent
         l1, l2, l3, deep = self._l1, self._l2, self._l3, self._deep
         text = self._text
         cur = self._active
@@ -307,6 +320,7 @@ class PositionHeap:
                 nxt = 0
                 break
             suffix.append(0)
+            parent.append(cur)
             if prev >= 0:
                 suffix[prev] = n_nodes
             prev = n_nodes
@@ -319,6 +333,7 @@ class PositionHeap:
 
     def _extend_flat(self, data: bytes) -> None:
         suffix = self._suffix
+        parent = self._parent
         l1, l2, l3, deep = self._l1, self._l2, self._l3, self._deep
         setds = [d.setdefault for d in deep]
         cur = self._active
@@ -329,11 +344,16 @@ class PositionHeap:
         b1 = text[-1] if len(text) >= 1 else 0
         b2 = text[-2] if len(text) >= 2 else 0
         text.extend(data)
-        # at most dep + len(data) + 1 creations in this call
-        suffix += [0] * (dep + len(data) + 1)
+        # at most dep + len(data) + 1 creations in this call, plus a
+        # scratch slot ``dump`` that stands in for "no node created yet
+        # for this letter", so chain links are stored without a test
+        spare = dep + len(data) + 2
+        suffix += [0] * spare
+        parent += [0] * spare
+        dump = len(suffix) - 1
         for c in data:
             sd = None
-            prev = -1
+            prev = dump
             while True:
                 if dep > 2:
                     if sd is None:
@@ -361,70 +381,41 @@ class PositionHeap:
                 else:
                     nxt = 0
                     break
-                if prev >= 0:
-                    suffix[prev] = n_nodes
+                parent[n_nodes] = cur
+                suffix[prev] = n_nodes
                 prev = n_nodes
                 n_nodes += 1
                 cur = suffix[cur]
                 dep -= 1
-            if prev >= 0:
-                suffix[prev] = nxt
+            suffix[prev] = nxt
             cur = nxt
             dep += 1
             b2 = b1
             b1 = c
         del suffix[n_nodes:]
+        del parent[n_nodes:]
         self._active = cur
 
     # ------------------------------------------------------------------
     # derived arrays and queries
 
-    def _iter_edges(self):
-        """Yield (parent, letter, child) for every tree edge."""
-        if not self._flat:
-            for key, w in self._edge.items():
-                yield key >> 8, key & 0xFF, w
-            return
-        l1, l2, l3, deep = self._l1, self._l2, self._l3, self._deep
-        for c in range(256):
-            w = l1[c]
-            if w:
-                yield 0, c, w
-        for i2 in range(65536):
-            w = l2[i2]
-            if w:
-                yield l1[i2 >> 8], i2 & 0xFF, w
-        # the level-3 table is huge and usually sparse: skip all-zero
-        # chunks of the backing buffer at C speed
-        buf = l3.obj
-        step = 1 << 18  # bytes per chunk, 64k slots
-        for base in range(0, len(buf), step):
-            seg = buf[base:base + step]
-            if seg.count(0) == len(seg):
-                continue
-            lo = base >> 2
-            for i3 in range(lo, lo + (len(seg) >> 2)):
-                w = l3[i3]
-                if w:
-                    yield l2[i3 >> 8], i3 & 0xFF, w
-        for c, d in enumerate(deep):
-            for v, w in d.items():
-                yield v, c, w
-
     def _materialize(self):
-        """Build (parent, letter, depth) arrays, cached per node count."""
+        """(parent, letter, depth) arrays, cached per node count.
+
+        One pass in id order: parents precede their children, and the
+        in-letter of w is T[w + depth(w) - 1].
+        """
         n_nodes = len(self._suffix)
         if self._mat_nodes == n_nodes:
             return self._mat
-        parent = array("i", bytes(4 * n_nodes))
+        parent = self._parent
+        text = self._text
         letter = bytearray(n_nodes)
         depth = array("i", bytes(4 * n_nodes))
-        parent[0] = -1
-        for v, c, w in self._iter_edges():
-            parent[w] = v
-            letter[w] = c
         for w in range(1, n_nodes):
-            depth[w] = depth[parent[w]] + 1
+            d = depth[parent[w]] + 1
+            depth[w] = d
+            letter[w] = text[w + d - 2]
         self._mat = (parent, letter, depth)
         self._mat_nodes = n_nodes
         return self._mat
@@ -456,9 +447,10 @@ class PositionHeap:
 
     def children_lists(self) -> list[list[tuple[int, int]]]:
         """Letter-sorted adjacency for all nodes; built per call."""
-        kids: list[list[tuple[int, int]]] = [[] for _ in range(len(self._suffix))]
-        for v, c, w in self._iter_edges():
-            kids[v].append((c, w))
+        parent, letter, _ = self._materialize()
+        kids: list[list[tuple[int, int]]] = [[] for _ in range(len(parent))]
+        for w in range(1, len(parent)):
+            kids[parent[w]].append((letter[w], w))
         for lst in kids:
             if len(lst) > 1:
                 lst.sort()
@@ -529,6 +521,7 @@ class PositionHeap:
         h = PositionHeap()
         h._text = bytearray(self._text)
         h._suffix = list(self._suffix)
+        h._parent = list(self._parent)
         h._secondary = dict(self._secondary)
         h._active = self._active
         h._finalized = self._finalized
@@ -582,6 +575,7 @@ def oracle_build(text) -> PositionHeap:
     h._text = bytearray(data)
     edge = h._edge
     suffix = h._suffix
+    parent = h._parent
     first_secondary = n + 1
     active = 0
     for i in range(1, n + 1):
@@ -607,6 +601,7 @@ def oracle_build(text) -> PositionHeap:
                 raise AssertionError("oracle: creation order broke primary==id")
             edge[(cur << 8) | data[j]] = w
             suffix.append(0)
+            parent.append(cur)
     # definitional suffix links: node of a*w maps to node of w
     for v in range(1, len(suffix)):
         label = h.path_label(v)
@@ -667,27 +662,32 @@ def recover_text(heap: PositionHeap) -> bytes:
     """
     if not heap.finalized:
         raise ValueError("heap must be finalized to recover the text")
-    parent, letter, _ = heap._materialize()
+    parent = heap._materialize()[0]
     n_nodes = heap.node_count()
-    top = array("i", bytes(4 * n_nodes))  # depth-1 ancestor
+    # first letters come from the root's edges, not from the stored text
+    first = bytearray(n_nodes)
+    for c, w in heap.children_of(0):
+        first[w] = c
     for w in range(1, n_nodes):
         p = parent[w]
-        top[w] = w if p == 0 else top[p]
-    n = heap.n
-    out = bytearray(n)
-    for v in range(1, n_nodes):
-        out[v - 1] = letter[top[v]]
+        if p:
+            first[w] = first[p]
+    # node v holds primary position v; secondaries hold the rest
+    out = first[1:] + bytes(heap.n + 1 - n_nodes)
     for v, pos in heap._secondary.items():
-        out[pos - 1] = letter[top[v]]
+        out[pos - 1] = first[v]
     return bytes(out)
 
 
 def structurally_equal(a: PositionHeap, b: PositionHeap) -> str | None:
     """Compare two heaps node by node; returns a diff string or None.
 
-    Suffix links are deliberately excluded: the oracle assigns them by
-    definition, the on-line builder by chaining, and their soundness is
-    checked against path labels elsewhere.
+    Both heaps derive parent and letter arrays from what they recorded at
+    creation, so each node is also looked up through both heaps' edge
+    tables, which are what queries walk.  Suffix links are deliberately
+    excluded: the oracle assigns them by definition, the on-line builder
+    by chaining, and their soundness is checked against path labels
+    elsewhere.
     """
     if a.text_bytes() != b.text_bytes():
         return "texts differ"
@@ -704,6 +704,8 @@ def structurally_equal(a: PositionHeap, b: PositionHeap) -> str | None:
             return f"node {v}: parents differ ({pa[v]} vs {pb[v]})"
         if la[v] != lb[v]:
             return f"node {v}: letters differ ({la[v]} vs {lb[v]})"
+        if a.child(pa[v], la[v]) != v or b.child(pa[v], la[v]) != v:
+            return f"node {v}: edge ({pa[v]}, {la[v]}) does not lead to it"
     if a._secondary != b._secondary:
         return f"secondary maps differ: {sorted(a._secondary.items())} vs {sorted(b._secondary.items())}"
     return None

@@ -11,7 +11,11 @@ Version 2 is one JSON line with fixed field order and compact separators:
 
     {"version":2,"text_length":n,"crc32":c,"text":"<text as latin-1>"}
 
-which makes save -> load -> save byte-identical.  Version 1 files (the
+which makes save -> load -> save byte-identical.  A text with a byte
+>= 0x80 is written with bytes >= 0x7F raw (two bytes each from 0x80 in
+UTF-8), not as six-byte escapes; an ASCII text goes through json's ASCII
+escaper, about twice as fast on word text, which escapes DEL.  Control
+bytes, quote and backslash are always escaped.  Version 1 files (the
 node table) are rejected.
 """
 
@@ -43,7 +47,7 @@ def index_json(aug: AugmentedHeap) -> str:
         "crc32": zlib.crc32(data),
         "text": data.decode("latin-1"),
     }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=data.isascii()) + "\n"
 
 
 def load_index(fp) -> AugmentedHeap:

@@ -87,8 +87,8 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
     k = len(segs)
     heap = aug.heap
     mrp = aug._mrp
-    disc = aug.disc
-    fin = aug.fin
+    pre = aug.pre
+    last = aug.last
     n = aug.n
     secondary = heap._secondary
 
@@ -103,14 +103,14 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
         if stats is not None:
             stats.steps += len(out) + length
         # positions at proper ancestors match iff their reach passes u
-        du, fu = disc[u], fin[u]
+        pu, lu = pre[u], last[u]
         parent = heap._materialize()[0]
         v = parent[u]
         while v > 0:
             for q in (v, secondary.get(v)):
                 if q is not None:
                     w = mrp[q]
-                    if du <= disc[w] and fin[w] <= fu:
+                    if pu <= pre[w] <= lu:
                         out.append(q)
             if stats is not None:
                 stats.steps += 1
@@ -126,7 +126,7 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
         last_stage = j == k - 2
         if last_stage:
             uk = segs[k - 1][0]
-            duk, fuk = disc[uk], fin[uk]
+            puk, luk = pre[uk], last[uk]
         stage: set[int] = set()
         v = u
         while v > 0:
@@ -138,7 +138,7 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
                     continue
                 if last_stage:
                     w = mrp[nq]
-                    if duk <= disc[w] and fin[w] <= fuk:
+                    if puk <= pre[w] <= luk:
                         stage.add(q)
                 elif nq in survivors:
                     stage.add(q)

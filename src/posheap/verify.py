@@ -233,17 +233,15 @@ def check_search_random(n: int = 10_000, pairs: int = 10_000,
 def _ancestor_tables(h, a):
     """Per-heap tables for the three ancestor methods."""
     n_nodes = h.node_count()
-    disc = a.disc
-    fin = a.fin
     parens = a.parens
     close_of = array("i", (parens.find_close(parens.open_of[v]) for v in range(n_nodes)))
     open_of = parens.open_of
     parent, _, depth = h._materialize()
-    return disc, fin, open_of, close_of, parent, depth
+    return a.pre, a.last, open_of, close_of, parent, depth
 
 
-def _ancestor_triple_check(u, v, disc, fin, open_of, close_of, parent, depth):
-    by_interval = disc[u] <= disc[v] and fin[v] <= fin[u]
+def _ancestor_triple_check(u, v, pre, last, open_of, close_of, parent, depth):
+    by_interval = pre[u] <= pre[v] <= last[u]
     by_parens = open_of[u] <= open_of[v] and close_of[v] <= close_of[u]
     w = v
     while depth[w] > depth[u]:
@@ -280,12 +278,12 @@ def check_ancestors_random(n: int = 10_000, heaps: int = 100,
         s = rng.randbytes(n)
         h = index(s)
         a = augment(h)
-        disc, fin, open_of, close_of, parent, depth = _ancestor_tables(h, a)
+        pre, last, open_of, close_of, parent, depth = _ancestor_tables(h, a)
         n_nodes = h.node_count()
         for _ in range(pairs_per_heap):
             u = rng.randrange(n_nodes)
             v = rng.randrange(n_nodes)
-            by_interval = disc[u] <= disc[v] and fin[v] <= fin[u]
+            by_interval = pre[u] <= pre[v] <= last[u]
             by_parens = open_of[u] <= open_of[v] and close_of[v] <= close_of[u]
             w = v
             while depth[w] > depth[u]:

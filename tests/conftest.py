@@ -33,6 +33,13 @@ REF_SECONDARIES = {b"ab": 12, b"b": 13}
 REF_MRP_DEEP = {1: b"aab", 2: b"aba", 3: b"ba", 7: b"baa", 8: b"aab"}
 
 
+def fibonacci_word(min_len: int) -> bytes:
+    a, b = b"a", b"ab"
+    while len(b) < min_len:
+        a, b = b, b + a
+    return b
+
+
 def all_strings(alphabet: bytes, max_len: int, min_len: int = 0):
     """Every string over alphabet with min_len <= length <= max_len."""
     for n in range(min_len, max_len + 1):

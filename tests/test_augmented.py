@@ -13,7 +13,7 @@ from posheap import (
     naive_mrp_nodes,
 )
 
-from conftest import REF_MRP_DEEP, REF_TEXT, all_strings
+from conftest import REF_MRP_DEEP, REF_TEXT, all_strings, fibonacci_word
 
 texts = st.binary(min_size=1, max_size=48) | st.text(alphabet="ab", min_size=1, max_size=32).map(
     lambda s: s.encode()
@@ -82,18 +82,43 @@ def test_node_of_is_ancestor_of_mrp(s):
         assert a.is_ancestor(a.node_of(i), a.mrp_node(i))
 
 
-@given(texts)
-def test_ancestor_structures_agree(s):
-    h = index(s)
+def check_ancestor_structures(s: bytes, flat_threshold: int) -> None:
+    """Preorder ranges, subtree slices and parentheses vs parent walks."""
+    import posheap.heap as hp
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hp, "_FLAT_THRESHOLD", flat_threshold)
+        h = index(s)
+    assert h._flat == (len(s) >= flat_threshold)
     a = augment(h)
-    n = h.node_count()
+    nodes = range(h.node_count())
     rng = random.Random(len(s) * 31)
-    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(100)]
-    pairs += [(v, v) for v in range(min(n, 10))]
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(100)]
+    pairs += [(v, v) for v in nodes[:10]]
     for u, v in pairs:
         expect = is_ancestor_walk(h, u, v)
         assert a.is_ancestor(u, v) == expect
         assert a.parens.is_ancestor(u, v) == expect
+    for v in nodes:
+        below = [w for w in nodes if is_ancestor_walk(h, v, w)]
+        assert sorted(a.subtree_nodes(v)) == below
+        assert [a.is_ancestor(v, w) for w in nodes] == [w in below for w in nodes]
+
+
+@given(texts)
+def test_ancestor_structures_agree(s):
+    check_ancestor_structures(s, 1 << 18)
+    check_ancestor_structures(s, 4)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"a" * 300, b"abc" * 100, fibonacci_word(300)],
+    ids=["unary", "periodic", "fibonacci"],
+)
+@pytest.mark.parametrize("flat_threshold", [1 << 18, 4], ids=["small", "flat"])
+def test_ancestor_structures_adversarial(text, flat_threshold):
+    check_ancestor_structures(text, flat_threshold)
 
 
 def test_ancestor_structures_all_pairs_reference(ref_heap):

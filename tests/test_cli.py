@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -86,6 +89,27 @@ def test_stdin_build(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["text"] == REF_TEXT.decode("latin-1")
     assert doc["text_length"] == 13
+
+
+def test_stdout_build_is_utf8_whatever_the_locale():
+    text = bytes(range(256)) * 2
+    proc = subprocess.run(
+        [sys.executable, "-m", "posheap.cli", "build", "-"],
+        input=text,
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.decode("utf-8"))
+    assert doc["text"].encode("latin-1") == text
+
+
+def test_stdout_build_into_text_only_stream(tmp_path):
+    text = tmp_path / "text.bin"
+    text.write_bytes(REF_TEXT + b"\xff")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["build", str(text)]) == 0
+    assert json.loads(out.getvalue())["text"].encode("latin-1") == REF_TEXT + b"\xff"
 
 
 def test_export_dot(ref_index, tmp_path, capsys):

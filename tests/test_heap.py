@@ -256,6 +256,47 @@ def test_flat_migration_mid_stream(monkeypatch):
         assert diff is None, f"{s!r} cut={cut}: {diff}"
 
 
+def test_copy_across_flat_migration(monkeypatch):
+    # a copy must carry every per-node list: the original and the copy
+    # grow apart, one of them through the small -> flat migration
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 10)
+    rng = random.Random(5)
+    for trial in range(20):
+        head = bytes(rng.choice(b"abc") for _ in range(rng.randint(0, 14)))
+        tail_a = bytes(rng.choice(b"abc") for _ in range(rng.randint(1, 30)))
+        tail_b = bytes(rng.choice(b"abcd") for _ in range(rng.randint(1, 30)))
+        h = hp.PositionHeap()
+        for c in head:
+            h.append(c)
+        snap = h.copy()
+        h.extend(tail_a)
+        for c in tail_b:
+            snap.append(c)
+        for heap, s in ((h, head + tail_a), (snap, head + tail_b)):
+            heap.finalize()
+            assert heap._flat == (len(s) >= 10)
+            diff = structurally_equal(heap, oracle_build(s))
+            assert diff is None, f"{head!r} + {s[len(head):]!r}: {diff}"
+
+
+def test_structurally_equal_checks_edge_tables(monkeypatch):
+    # parents and letters are recorded apart from the edge tables, so an
+    # edge pointing to the wrong node must still be reported
+    import posheap.heap as hp
+
+    for threshold in (hp._FLAT_THRESHOLD, 4):
+        monkeypatch.setattr(hp, "_FLAT_THRESHOLD", threshold)
+        h = hp.index(REF_TEXT)
+        a, b = h.child(0, ord("a")), h.child(0, ord("b"))
+        if h._flat:
+            h._l1[ord("a")], h._l1[ord("b")] = b, a
+        else:
+            h._edge[ord("a")], h._edge[ord("b")] = b, a
+        assert "does not lead to it" in structurally_equal(h, oracle_build(REF_TEXT))
+
+
 def test_path_label_prefix_property_exhaustive():
     for s in all_strings(b"ab", 10, min_len=1):
         h = index(s)

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import re
 import zlib
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from posheap import augment, index, recover_text
 from posheap.index_io import IndexFileError, index_dot, index_json, load_index
 
-from conftest import REF_TEXT, all_strings
+from conftest import REF_TEXT, all_strings, fibonacci_word
 
 
 def roundtrip(s: bytes):
@@ -68,6 +69,20 @@ def test_file_is_text_and_checksum():
         % zlib.crc32(REF_TEXT)
     )
 
+
+def test_non_ascii_bytes_written_raw():
+    # bytes >= 0x7F are written raw (two UTF-8 bytes from 0x80 up); only
+    # control bytes, quote and backslash keep their escapes
+    s = random.Random(11).randbytes(20_000)
+    aug, blob, aug2 = roundtrip(s)
+    assert len(blob.encode("utf-8")) / len(s) <= 2.1
+    escaped = {int(x, 16) for x in re.findall(r"\\u00([0-9a-f]{2})", blob)}
+    assert escaped and max(escaped) < 0x20
+    assert index_json(aug2) == blob
+    assert recover_text(aug2.heap) == s
+    # an ASCII text takes json's ASCII escaper, which also escapes DEL
+    assert '"text":"a\\u007fb"' in index_json(augment(index(b"a\x7fb")))
+    assert '"text":"a\x7f\xffb"' in index_json(augment(index(b"a\x7f\xffb")))
 
 def test_every_single_byte_text_change_rejected():
     doc = saved_doc()
@@ -139,13 +154,6 @@ def test_missing_mrp_depths_is_recomputed():
     aug, blob, aug2 = roundtrip(REF_TEXT)
     assert "mrp" not in blob
     assert list(aug2.mrp_depths()) == list(aug.mrp_depths())
-
-
-def fibonacci_word(min_len: int) -> bytes:
-    a, b = b"a", b"ab"
-    while len(b) < min_len:
-        a, b = b, b + a
-    return b
 
 
 @pytest.mark.parametrize(
