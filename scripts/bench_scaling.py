@@ -4,17 +4,19 @@
 Builds indexes over several text classes at doubling sizes and prints a
 CSV with wall time, throughput, and the builder's work accounting, so
 the linear-time behaviour can be eyeballed (time roughly doubling per
-row within a class).
+row within a class).  Each row is one timed build + finalize.
 
 Usage:
-    python scripts/bench_scaling.py [--max-size 4000000] [--seed 0]
+    PYTHONPATH=src python scripts/bench_scaling.py [--min-size 250000]
+        [--max-size 4000000] [--seed 0]
 """
 
 import argparse
 import random
 import sys
+import time
 
-from posheap.bench import time_build
+from posheap import build
 
 
 def texts_for(size: int, seed: int):
@@ -30,14 +32,16 @@ def main() -> int:
     ap.add_argument("--max-size", type=int, default=4_000_000)
     ap.add_argument("--min-size", type=int, default=250_000)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--repeats", type=int, default=2)
     args = ap.parse_args()
 
     print("size,kind,seconds,bytes_per_sec,nodes,iterations")
     size = args.min_size
     while size <= args.max_size:
         for kind, data in texts_for(size, args.seed):
-            seconds, heap = time_build(data, repeats=args.repeats)
+            t0 = time.perf_counter()
+            heap = build(data)
+            heap.finalize()
+            seconds = time.perf_counter() - t0
             assert heap.creations == heap.node_count() - 1
             print(
                 f"{size},{kind},{seconds:.6f},{size / seconds:.0f},"

@@ -3,12 +3,12 @@
 On top of a finalized heap this adds, in one linear pass each:
 
 * ``node_of``: position -> node holding it (primary or secondary slot);
-* a preorder range [pre, last] per node from two passes over the parent
-  array (parents precede children), giving O(1) ancestor tests by
-  interval containment and subtrees as slices of ``by_pre``; children
-  are numbered in id order, which containment does not care about.  The
-  balanced-parenthesis encoding of the letter-ordered DFS (``parens``),
-  an alternative ancestor structure, is built on first use;
+* a preorder range [pre, last] per node (``PositionHeap._preorder``,
+  two passes over the parent array; children in id order, which
+  containment does not care about), giving O(1) ancestor tests by
+  interval containment and subtrees as slices of ``by_pre``.  The
+  balanced-parenthesis encoding of the same preorder (``parens``), an
+  alternative ancestor structure, is built on first use;
 * maximal-reach targets: for every position i, the node of the longest
   prefix of T[i..n] that is represented in the heap.  Computed with a
   single read head that never moves backwards: extend the current match
@@ -40,7 +40,7 @@ class AugmentedHeap:
         self.heap = heap
         self.n = heap.n
         self._build_node_of()
-        self._intervals()
+        self.pre, self.last, self._by_pre = heap._preorder()
         self._compute_mrp()
 
     # ------------------------------------------------------------------
@@ -57,34 +57,9 @@ class AugmentedHeap:
             raise AssertionError("position->node map has holes")
         self._node_of = node_of
 
-    def _intervals(self):
-        parent = self.heap._materialize()[0]
-        n_nodes = len(parent)
-        size = array("i", [1]) * n_nodes
-        for w in range(n_nodes - 1, 0, -1):
-            size[parent[w]] += size[w]
-        pre = array("i", bytes(4 * n_nodes))
-        last = array("i", bytes(4 * n_nodes))
-        by_pre = array("i", bytes(4 * n_nodes))
-        last[0] = n_nodes - 1
-        # size[v] becomes the next free preorder slot for v's children
-        size[0] = 1
-        for w in range(1, n_nodes):
-            p = parent[w]
-            slot = size[p]
-            sz = size[w]
-            pre[w] = slot
-            last[w] = slot + sz - 1
-            by_pre[slot] = w
-            size[p] = slot + sz
-            size[w] = slot + 1
-        self.pre = pre
-        self.last = last
-        self._by_pre = by_pre
-
     @cached_property
     def parens(self) -> ParenSequence:
-        """Balanced-parenthesis encoding of the letter-ordered DFS."""
+        """Balanced-parenthesis encoding of the heap's preorder."""
         return parens_from_heap(self.heap)
 
     def _compute_mrp(self):
@@ -153,10 +128,13 @@ class AugmentedHeap:
 
     def is_ancestor(self, u: int, v: int) -> bool:
         """Ancestor-or-self test by preorder range containment; O(1)."""
+        self.heap._check_node(u)
+        self.heap._check_node(v)
         return self.pre[u] <= self.pre[v] <= self.last[u]
 
     def subtree_nodes(self, v: int):
         """All nodes in v's subtree (preorder slice; O(size))."""
+        self.heap._check_node(v)
         return self._by_pre[self.pre[v]:self.last[v] + 1]
 
     def encode_mrp(self) -> "MrpBits":

@@ -7,8 +7,8 @@ rank1(select0(i)) - i + 1 can be used verbatim.  Storage is a list of
 binary-searches the superblock counts and finishes with a word scan and
 a byte table, O(log) worst case.
 
-ParenSequence encodes a heap's tree shape as one open bit at discovery
-and one close bit at finishing time of a depth-first traversal.
+ParenSequence encodes a heap's tree shape in preorder: each node's open
+bit, then its subtree, then its close bit.
 Matching-close queries walk a per-word excess summary plus a range-min
 tree over words, O(log) worst case, which is enough for constant-time
 ancestor tests at desk scale.
@@ -186,7 +186,8 @@ class BitVector:
 class ParenSequence:
     """Balanced-parenthesis encoding of a heap's tree shape.
 
-    One bit per traversal event: 1 at node discovery, 0 at finishing.
+    One open bit (1) per node in preorder, and a close bit (0) after
+    its subtree.
     ``open_of`` maps node ids to their opening bit position.
     """
 
@@ -336,27 +337,18 @@ class ParenSequence:
 
 
 def parens_from_heap(heap) -> ParenSequence:
-    """DFS the heap in byte order of child letters, emitting an open bit
-    at discovery and a close bit at finishing."""
+    """Balanced parentheses of the heap's preorder (siblings in id order).
+
+    Node v opens at bit 2*pre(v) - depth(v) + 1: of the pre(v) nodes
+    opened before it, its depth(v) proper ancestors are still open and
+    the others are already closed.  Every other bit is a close.
+    """
     if not heap.finalized:
         raise ValueError("heap must be finalized")
-    n_nodes = heap.node_count()
-    kids = heap.children_lists()
-    bits = bytearray()
-    open_of = array("i", bytes(4 * n_nodes))
-    # stack holds (node, next-child-index)
-    stack = [(0, 0)]
-    bits.append(1)
-    open_of[0] = 1
-    while stack:
-        v, idx = stack[-1]
-        if idx < len(kids[v]):
-            stack[-1] = (v, idx + 1)
-            w = kids[v][idx][1]
-            bits.append(1)
-            open_of[w] = len(bits)
-            stack.append((w, 0))
-        else:
-            bits.append(0)
-            stack.pop()
+    pre = heap._preorder()[0]
+    depth = heap._materialize()[2]
+    open_of = array("i", [2 * p - d + 1 for p, d in zip(pre, depth)])
+    bits = bytearray(2 * len(open_of))
+    for o in open_of:
+        bits[o - 1] = 1
     return ParenSequence(BitVector(bits), open_of)

@@ -92,9 +92,11 @@ class PositionHeap:
         self._l2 = None              # children of depth-1 nodes, by (letter, letter)
         self._l3 = None              # children of depth-2 nodes, int32, by 3-byte code
         self._deep = None            # per-letter {parent: child} for depth >= 3
-        # lazily materialized parent/letter/depth arrays
+        # lazily materialized parent/letter/depth and preorder arrays
         self._mat = None
         self._mat_nodes = -1
+        self._pre = None
+        self._pre_nodes = -1
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -419,6 +421,41 @@ class PositionHeap:
         self._mat = (parent, letter, depth)
         self._mat_nodes = n_nodes
         return self._mat
+
+    def _preorder(self):
+        """(pre, last, by_pre) arrays, cached per node count.
+
+        Node v's subtree is the preorder range [pre[v], last[v]] and
+        by_pre[pre[v]] == v.  A reverse pass sums subtree sizes and a
+        forward pass hands each child the next free preorder slot of its
+        parent (parents precede children), so no DFS is needed; siblings
+        come in id order.
+        """
+        n_nodes = len(self._suffix)
+        if self._pre_nodes == n_nodes:
+            return self._pre
+        parent = self._materialize()[0]
+        size = array("i", [1]) * n_nodes
+        for w in range(n_nodes - 1, 0, -1):
+            size[parent[w]] += size[w]
+        pre = array("i", bytes(4 * n_nodes))
+        last = array("i", bytes(4 * n_nodes))
+        by_pre = array("i", bytes(4 * n_nodes))
+        last[0] = n_nodes - 1
+        # size[v] becomes the next free preorder slot for v's children
+        size[0] = 1
+        for w in range(1, n_nodes):
+            p = parent[w]
+            slot = size[p]
+            sz = size[w]
+            pre[w] = slot
+            last[w] = slot + sz - 1
+            by_pre[slot] = w
+            size[p] = slot + sz
+            size[w] = slot + 1
+        self._pre = (pre, last, by_pre)
+        self._pre_nodes = n_nodes
+        return self._pre
 
     def child(self, v: int, letter: int) -> int | None:
         """Target of the letter-edge out of v, or None."""

@@ -95,7 +95,7 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
     if k == 1:
         u, length = segs[0]
         out = []
-        for v in aug.subtree_nodes(u):
+        for v in aug._by_pre[pre[u]:last[u] + 1]:
             out.append(v)  # primary position == node id
             q = secondary.get(v)
             if q is not None:

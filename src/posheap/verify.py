@@ -4,16 +4,11 @@ Each checker returns (cases_checked, failure) where failure is None or a
 reproducer string naming the offending input.  ``posheap verify`` runs
 them all and the acceptance tests call them with their pinned sizes, so
 there is a single implementation of every equivalence.
-
-POSHEAP_VERIFY_SCALE (a float, default 1) multiplies the randomized
-case counts, which caps the runtime of quick runs; exhaustive sweeps
-are controlled by their length bounds.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 from array import array
 
@@ -28,17 +23,6 @@ from .heap import (
     structurally_equal,
 )
 from .search import decompose, find_all, find_all_naive
-
-
-def env_scale() -> float:
-    try:
-        return max(0.0, float(os.environ.get("POSHEAP_VERIFY_SCALE", "1")))
-    except ValueError:
-        return 1.0
-
-
-def scaled(count: int) -> int:
-    return max(1, int(count * env_scale()))
 
 
 def all_strings(alphabet: bytes, max_len: int, min_len: int = 1):
@@ -203,7 +187,6 @@ def check_search_random(n: int = 10_000, pairs: int = 10_000,
                         texts: int = 10) -> tuple[int, str | None]:
     """Random (text, pattern) pairs at size n over a small alphabet."""
     rng = random.Random(seed)
-    pairs = scaled(pairs)
     cases = 0
     alphabet = bytes(range(97, 97 + alphabet_size))
     per_text = max(1, pairs // max(1, texts))
@@ -272,7 +255,6 @@ def check_ancestors_random(n: int = 10_000, heaps: int = 100,
                            pairs_per_heap: int = 100_000, seed: int = 0
                            ) -> tuple[int, str | None]:
     rng = random.Random(seed)
-    heaps = scaled(heaps)
     cases = 0
     for t in range(heaps):
         s = rng.randbytes(n)
@@ -299,7 +281,6 @@ def check_bitvec_random(vectors: int = 300, max_bits: int = 100_000, seed: int =
     """rank/select vs naive scans on random vectors (sampled arguments
     for big vectors, every argument for small ones)."""
     rng = random.Random(seed)
-    vectors = scaled(vectors)
     cases = 0
     for t in range(vectors):
         nbits = rng.randint(0, max_bits) if rng.random() < 0.2 else rng.randint(0, 512)
@@ -339,7 +320,6 @@ def check_roundtrip(count: int = 60, seed: int = 0) -> tuple[int, str | None]:
     from .index_io import index_json, load_index
 
     rng = random.Random(seed)
-    count = scaled(count)
     cases = 0
     for t in range(count):
         n = rng.randint(0, 400)

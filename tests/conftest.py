@@ -1,7 +1,12 @@
+import gc
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import settings
+
+from posheap import PositionHeap, build
 
 settings.register_profile("default", deadline=None, max_examples=120)
 settings.load_profile("default")
@@ -31,6 +36,36 @@ REF_SECONDARIES = {b"ab": 12, b"b": 13}
 
 # maximal-reach targets that differ from the storing node, as label pairs
 REF_MRP_DEEP = {1: b"aab", 2: b"aba", 3: b"ba", 7: b"baa", 8: b"aab"}
+
+
+def make_text(size: int, kind: str, seed: int) -> bytes:
+    if kind == "random":
+        return random.Random(seed).randbytes(size)
+    if kind == "periodic":
+        reps = size // 3 + 1
+        return (b"abc" * reps)[:size]
+    raise ValueError(f"unknown text kind: {kind}")
+
+
+def time_build(data: bytes, repeats: int = 2) -> tuple[float, PositionHeap]:
+    best = None
+    heap = None
+    for _ in range(max(1, repeats)):
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        t0 = time.perf_counter()
+        h = build(data)
+        h.finalize()
+        dt = time.perf_counter() - t0
+        if enabled:
+            gc.enable()
+        if best is None or dt < best:
+            best = dt
+            heap = h
+        else:
+            del h
+    return best, heap
 
 
 def fibonacci_word(min_len: int) -> bytes:

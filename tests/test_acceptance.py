@@ -7,10 +7,7 @@ wall time and assert the stated budget.
 
 import time
 
-import pytest
-
 from posheap import augment, build, index
-from posheap.bench import time_build, make_text
 from posheap.verify import (
     check_ancestors_exhaustive,
     check_ancestors_random,
@@ -21,13 +18,14 @@ from posheap.verify import (
 )
 from posheap.augmented import MrpBits
 
-from conftest import REF_MRP_DEEP, REF_PRIMARIES, REF_SECONDARIES, REF_TEXT
-
-
-@pytest.fixture(autouse=True)
-def full_scale(monkeypatch):
-    # acceptance always runs the full pinned sizes
-    monkeypatch.delenv("POSHEAP_VERIFY_SCALE", raising=False)
+from conftest import (
+    REF_MRP_DEEP,
+    REF_PRIMARIES,
+    REF_SECONDARIES,
+    REF_TEXT,
+    make_text,
+    time_build,
+)
 
 
 def report(line):

@@ -137,6 +137,20 @@ def test_subtree_nodes(ref_heap, node_by_label):
     assert len(a.subtree_nodes(0)) == 12
 
 
+def test_node_ids_range_checked():
+    a = augment(index(b"abracadabra"))
+    n_nodes = a.heap.node_count()
+    for bad in (-1, n_nodes, 99):
+        with pytest.raises(ValueError, match="no such node"):
+            a.is_ancestor(bad, 3)
+        with pytest.raises(ValueError, match="no such node"):
+            a.is_ancestor(0, bad)
+        with pytest.raises(ValueError, match="no such node"):
+            a.subtree_nodes(bad)
+    assert a.is_ancestor(0, n_nodes - 1)
+    assert len(a.subtree_nodes(n_nodes - 1)) >= 1
+
+
 # ----------------------------------------------------------------------
 # unary encoding of reach depths
 

@@ -149,31 +149,6 @@ def test_verify_index_negative_control(ref_index, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_bench_table(capsys):
-    assert main(["bench", "--sizes", "1000,2000", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "nodes" in out
-    lines = [l for l in out.splitlines() if l and not l.lstrip().startswith(("size", "-"))]
-    assert len(lines) == 4  # two sizes x (random, periodic)
-
-
-def test_bench_csv_and_size_zero(capsys):
-    assert main(["bench", "--sizes", "0", "--csv"]) == 0
-    out = capsys.readouterr().out
-    rows = out.strip().splitlines()
-    assert rows[0].startswith("size,kind")
-    assert rows[1].startswith("0,random")
-    # empty text: one node, zero iterations
-    assert rows[1].split(",")[4:6] == ["1", "0"]
-
-
-def test_bench_iterations_equal_nodes(capsys):
-    assert main(["bench", "--sizes", "5000", "--csv", "--seed", "3"]) == 0
-    for row in capsys.readouterr().out.strip().splitlines()[1:]:
-        cols = row.split(",")
-        assert int(cols[5]) == int(cols[4]) - 1
-
-
 def test_build_unwritable_output(tmp_path):
     text = tmp_path / "t.bin"
     text.write_bytes(b"abc")
@@ -188,3 +163,29 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["build", "x", "--format", "yaml"])
     assert e.value.code == 2
+
+
+def test_bench_subcommand_is_gone():
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--sizes", "1000"])
+    assert e.value.code == 2
+
+
+def test_query_pattern_above_latin1_is_usage_error(ref_index, capsys):
+    assert main(["query", str(ref_index), "--pattern", "a\u20ac"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "U+00FF" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-1", "160", "300"])
+def test_verify_alphabet_size_out_of_range_is_usage_error(size, capsys):
+    assert main(["verify", "--alphabet-size", size, "--max-n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "1..159" in captured.err
+
+
+def test_verify_unary_alphabet(capsys):
+    assert main(["verify", "--alphabet-size", "1", "--max-n", "3"]) == 0

@@ -1,0 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_scaling_smoke():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_scaling.py"),
+         "--min-size", "1000", "--max-size", "2000", "--seed", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "size,kind,seconds,bytes_per_sec,nodes,iterations"
+    rows = [line.split(",") for line in lines[1:]]
+    kinds = ["random-bytes", "random-4letter", "periodic-3", "unary"]
+    assert [(r[0], r[1]) for r in rows] == [
+        (size, kind) for size in ("1000", "2000") for kind in kinds
+    ]
+    for r in rows:
+        assert int(r[5]) == int(r[4]) - 1, r
