@@ -47,13 +47,14 @@ class AugmentedHeap:
 
     def _build_node_of(self):
         n = self.n
-        node_of = array("i", bytes(4 * (n + 1)))
-        for v in range(1, self.heap.node_count()):
-            node_of[v] = v  # primary position == node id
+        n_nodes = self.heap.node_count()
+        # primary position == node id; the rest is filled from secondaries
+        node_of = array("i", range(n_nodes))
+        node_of.frombytes(bytes(4 * (n + 1 - n_nodes)))
         for v, pos in self.heap._secondary.items():
             node_of[pos] = v
-        # every position must be covered exactly once
-        if n and any(node_of[i] == 0 for i in range(1, n + 1)):
+        # every position must be covered exactly once: only slot 0 is 0
+        if node_of.count(0) != 1:
             raise AssertionError("position->node map has holes")
         self._node_of = node_of
 

@@ -29,6 +29,7 @@ so its in-letter is T[w+depth(w)-1] and needs no edge-table lookup.
 
 from __future__ import annotations
 
+import mmap
 from array import array
 from dataclasses import dataclass
 
@@ -38,6 +39,19 @@ from dataclasses import dataclass
 _FLAT_THRESHOLD = 1 << 18
 
 _MAX_TEXT = 2**31 - 2  # node ids are stored in int32 arrays
+
+_L3_BYTES = 4 << 24  # one int32 per 3-byte code
+
+
+def _zeroed_l3() -> memoryview:
+    """Writable int32 view over 64 MiB of anonymous zero pages.
+
+    The OS maps a page on its first write, so a text pays only for the
+    pages its 3-byte codes fall in (12 for 320 KiB of acgt, 237 for
+    288 KiB of words) instead of zeroing and faulting in all 16,384
+    pages up front.
+    """
+    return memoryview(mmap.mmap(-1, _L3_BYTES)).cast("i")
 
 
 def to_bytes(text) -> bytes:
@@ -264,8 +278,7 @@ class PositionHeap:
     def _migrate_to_flat(self) -> None:
         l1 = [0] * 256
         l2 = [0] * 65536
-        # int32 view over a zeroed buffer: cheap to allocate, fast to index
-        l3 = memoryview(bytearray(4 << 24)).cast("i")
+        l3 = _zeroed_l3()
         deep = [{} for _ in range(256)]
         parent, letter, depth = self._materialize()
         for w in range(1, len(parent)):
@@ -434,7 +447,7 @@ class PositionHeap:
         n_nodes = len(self._suffix)
         if self._pre_nodes == n_nodes:
             return self._pre
-        parent = self._materialize()[0]
+        parent = self._parent
         size = array("i", [1]) * n_nodes
         for w in range(n_nodes - 1, 0, -1):
             size[parent[w]] += size[w]
@@ -476,6 +489,39 @@ class PositionHeap:
             w = self._deep[letter].get(v, 0)
         return w or None
 
+    def _walk(self, data: bytes, pos: int) -> tuple[int, int]:
+        """Follow the longest represented prefix of data[pos:] from the root.
+
+        Returns (node, end): the node reached and the index just past the
+        consumed prefix (end == pos when data[pos] labels no root edge).
+        The node reached at offset d has path label data[pos:pos+d], so in
+        flat mode the shallow tables are keyed by the data's own bytes.
+        """
+        end = len(data)
+        cur = 0
+        i = pos
+        if not self._flat:
+            get = self._edge.get
+            while i < end and (nxt := get((cur << 8) | data[i])) is not None:
+                cur = nxt
+                i += 1
+            return cur, i
+        if i < end and (nxt := self._l1[data[i]]):
+            cur = nxt
+            i += 1
+            if i < end and (nxt := self._l2[(data[i - 1] << 8) | data[i]]):
+                cur = nxt
+                i += 1
+                if i < end and (nxt := self._l3[
+                        (data[i - 2] << 16) | (data[i - 1] << 8) | data[i]]):
+                    cur = nxt
+                    i += 1
+                    deep = self._deep
+                    while i < end and (nxt := deep[data[i]].get(cur)):
+                        cur = nxt
+                        i += 1
+        return cur, i
+
     def children_of(self, v: int) -> list[tuple[int, int]]:
         """(letter, child) pairs of v in increasing letter order."""
         self._check_node(v)
@@ -497,7 +543,7 @@ class PositionHeap:
         self._check_node(v)
         if v == 0:
             return None
-        return self._materialize()[0][v]
+        return self._parent[v]
 
     def in_letter(self, v: int) -> int | None:
         self._check_node(v)
@@ -567,7 +613,8 @@ class PositionHeap:
             h._edge = None
             h._l1 = list(self._l1)
             h._l2 = list(self._l2)
-            h._l3 = memoryview(bytearray(self._l3.obj)).cast("i")
+            h._l3 = _zeroed_l3()
+            h._l3.obj[:] = self._l3.obj
             h._deep = [dict(d) for d in self._deep]
         else:
             h._edge = dict(self._edge)

@@ -42,45 +42,46 @@ class SegmentDecomposition:
 
 @dataclass
 class SearchStats:
-    """Step counter for the work-bound property test."""
+    """Work counters of ``find_all``; they accumulate across calls."""
 
     steps: int = 0
+    segments: int = 0
+    occurrences: int = 0
 
 
-def decompose(aug: AugmentedHeap, pattern) -> SegmentDecomposition:
-    """Split the pattern into maximal represented segments."""
+def _pattern_bytes(pattern) -> bytes:
     pattern = to_bytes(pattern)
     if not pattern:
         raise ValueError("empty pattern")
-    heap = aug.heap
-    child = heap.child
+    return pattern
+
+
+def _decompose(heap, pattern: bytes) -> SegmentDecomposition:
+    walk = heap._walk
     segments = []
     pos = 0
     m = len(pattern)
     while pos < m:
-        cur = 0
-        length = 0
-        while pos < m:
-            nxt = child(cur, pattern[pos])
-            if nxt is None:
-                break
-            cur = nxt
-            pos += 1
-            length += 1
-        if length == 0:
+        node, end = walk(pattern, pos)
+        if end == pos:
             return SegmentDecomposition(segments, False)
-        segments.append((cur, length))
+        segments.append((node, end - pos))
+        pos = end
     return SegmentDecomposition(segments, True)
+
+
+def decompose(aug: AugmentedHeap, pattern) -> SegmentDecomposition:
+    """Split the pattern into maximal represented segments."""
+    return _decompose(aug.heap, _pattern_bytes(pattern))
 
 
 def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> list[int]:
     """All start positions of the pattern in the indexed text, sorted."""
-    pattern = to_bytes(pattern)
-    if not pattern:
-        raise ValueError("empty pattern")
-    d = decompose(aug, pattern)
+    pattern = _pattern_bytes(pattern)
+    d = _decompose(aug.heap, pattern)
     if stats is not None:
         stats.steps += len(pattern)
+        stats.segments += len(d.segments)
     if not d.complete:
         return []
     segs = d.segments
@@ -104,7 +105,7 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
             stats.steps += len(out) + length
         # positions at proper ancestors match iff their reach passes u
         pu, lu = pre[u], last[u]
-        parent = heap._materialize()[0]
+        parent = heap._parent
         v = parent[u]
         while v > 0:
             for q in (v, secondary.get(v)):
@@ -116,10 +117,12 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
                 stats.steps += 1
             v = parent[v]
         out.sort()
+        if stats is not None:
+            stats.occurrences += len(out)
         return out
 
     # several segments: filter candidates from the last stage backwards
-    parent = heap._materialize()[0]
+    parent = heap._parent
     survivors: set[int] = set()
     for j in range(k - 2, -1, -1):
         u, length = segs[j]
@@ -149,6 +152,7 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
     out = sorted(survivors)
     if stats is not None:
         stats.steps += len(out)
+        stats.occurrences += len(out)
     # a pattern that is not fully represented cannot occur more often
     # than the length of its first segment
     if len(out) > segs[0][1]:
@@ -166,9 +170,7 @@ def count(aug: AugmentedHeap, pattern) -> int:
 def find_all_naive(text, pattern) -> list[int]:
     """Independent oracle: sliding comparison over the raw text."""
     text = to_bytes(text)
-    pattern = to_bytes(pattern)
-    if not pattern:
-        raise ValueError("empty pattern")
+    pattern = _pattern_bytes(pattern)
     out = []
     at = text.find(pattern)
     while at != -1:

@@ -354,15 +354,18 @@ def run_verify(max_n: int = 12, alphabet_size: int = 2, seed: int = 0,
                report=print) -> bool:
     """Run every suite; prints one line per suite; True iff all passed."""
     alphabet = bytes(range(97, 97 + alphabet_size))
+    text_max = min(max_n, 11)
     plans = {
         "construction": dict(alphabet=alphabet, max_len=max_n),
         "theorem-properties": dict(alphabet=alphabet, max_len=max_n),
         "maximal-reach": dict(alphabet=alphabet, max_len=max_n),
         "search-exhaustive": dict(
             text_alphabet=alphabet,
-            text_max=min(max_n, 11),
+            text_max=text_max,
             pattern_alphabet=alphabet,
-            pattern_max=6,
+            # one letter longer than every text, so the sweep stays
+            # bounded by --max-n whatever the alphabet size
+            pattern_max=min(6, text_max + 1),
         ),
         "search-random": dict(seed=seed),
         "ancestors-exhaustive": dict(alphabet=alphabet, max_len=min(max_n, 10)),

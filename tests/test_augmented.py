@@ -25,6 +25,15 @@ def test_augment_requires_finalized():
         augment(build(b"ab"))
 
 
+def test_augment_rejects_uncovered_position():
+    # a secondary position lost after finalize leaves a hole in node_of
+    h = index(REF_TEXT)
+    assert augment(h).node_of(len(REF_TEXT)) in h._secondary
+    h._secondary.popitem()
+    with pytest.raises(AssertionError, match="holes"):
+        augment(h)
+
+
 def test_node_of_reference(ref_heap, node_by_label):
     a = augment(ref_heap)
     assert a.node_of(12) == node_by_label[b"ab"]
@@ -239,7 +248,8 @@ def test_flat_mode_pipeline_equivalence(monkeypatch):
     rng = random.Random(55)
     cases = [bytes(rng.choice(b"ab") for _ in range(rng.randint(4, 60))) for _ in range(25)]
     cases += [bytes(rng.randrange(256) for _ in range(rng.randint(4, 120))) for _ in range(15)]
-    cases += [b"a" * 64, b"abc" * 30, b"aababbbaabaab"]
+    cases += [bytes(rng.choice(b"acgt") for _ in range(rng.randint(300, 600))) for _ in range(3)]
+    cases += [b"a" * 64, b"abc" * 30, b"aababbbaabaab", fibonacci_word(400)]
     for s in cases:
         h = hp.PositionHeap()
         h.extend(s)
@@ -260,6 +270,16 @@ def test_flat_mode_pipeline_equivalence(monkeypatch):
             assert find_all(a, p) == find_all_naive(s, p), (s, p)
         rnd = bytes(rng.randrange(256) for _ in range(3))
         assert find_all(a, rnd) == find_all_naive(s, rnd)
+        # long patterns run through the deep tables, with one letter
+        # changed so that later segments must be filtered
+        for _ in range(4 if len(s) >= 64 else 0):
+            m = rng.randint(64, len(s))
+            start = rng.randint(0, len(s) - m)
+            p = s[start:start + m]
+            assert find_all(a, p) == find_all_naive(s, p), (s, p)
+            at = rng.randrange(m)
+            q = p[:at] + bytes([p[at] ^ 1]) + p[at + 1:]
+            assert find_all(a, q) == find_all_naive(s, q), (s, q)
 
 
 def test_flat_mode_loaded_index_queries(monkeypatch):

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from posheap.cli import main
+from posheap.verify import run_verify
 
 from conftest import REF_TEXT
 
@@ -189,3 +190,10 @@ def test_verify_alphabet_size_out_of_range_is_usage_error(size, capsys):
 
 def test_verify_unary_alphabet(capsys):
     assert main(["verify", "--alphabet-size", "1", "--max-n", "3"]) == 0
+
+
+def test_verify_pattern_sweep_bounded_by_text_length():
+    lines = []
+    assert run_verify(max_n=1, alphabet_size=8, report=lines.append)
+    # 8 one-letter texts x (8 + 64) patterns of one and two letters
+    assert "ok   search-exhaustive: 576 cases" in lines

@@ -14,7 +14,7 @@ from posheap import (
     index,
 )
 
-from conftest import REF_TEXT, all_strings
+from conftest import REF_TEXT, all_strings, fibonacci_word
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +134,66 @@ def test_work_bound():
             assert occ == find_all_naive(s, p)
             assert stats.steps <= 12 * (len(p) + len(occ)) + 16, (
                 s[:16], p, stats.steps, len(occ))
+            assert stats.segments == len(decompose(aug, p).segments)
+            assert stats.occurrences == len(occ)
+
+
+def test_search_stats_accumulate(ref_aug):
+    stats = SearchStats()
+    for p in (b"ab", b"bab", b"z"):
+        find_all(ref_aug, p, stats=stats)
+    assert stats.segments == 1 + 2 + 0
+    assert stats.occurrences == 4 + 1 + 0
+
+
+def decompose_by_child(heap, pattern):
+    """Root walks through ``heap.child``, one call per letter: the reference."""
+    segments = []
+    pos = 0
+    while pos < len(pattern):
+        cur, start = 0, pos
+        while pos < len(pattern) and (nxt := heap.child(cur, pattern[pos])) is not None:
+            cur = nxt
+            pos += 1
+        if pos == start:
+            return segments, False
+        segments.append((cur, pos - start))
+    return segments, True
+
+
+def _walk_text(kind, rng):
+    if kind == "unary":
+        return b"a" * 1200
+    if kind == "periodic":
+        return b"abc" * 400
+    if kind == "fibonacci":
+        return fibonacci_word(1200)
+    letters = bytes(rng.sample(range(256), 5))
+    return bytes(rng.choice(letters) for _ in range(1200))
+
+
+@pytest.mark.parametrize("kind", ["unary", "periodic", "fibonacci", "random"])
+@pytest.mark.parametrize("mode", ["small", "flat"])
+def test_decompose_matches_child_walks(mode, kind, monkeypatch):
+    # short patterns stop at every depth of the flat tables; long ones
+    # cross the switch from the level-3 table to the deep dictionaries
+    import posheap.heap as hp
+
+    if mode == "flat":
+        monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 4)
+    rng = random.Random(kind)
+    s = _walk_text(kind, rng)
+    aug = augment(index(s))
+    assert aug.heap._flat == (mode == "flat")
+    absent = min(set(range(256)) - set(s))
+    patterns = list(all_strings(bytes(sorted(set(s))) + bytes([absent]), 4, min_len=1))
+    for _ in range(40):
+        m = rng.randint(64, 512)
+        start = rng.randint(0, len(s) - m)
+        patterns.append(s[start:start + m])
+    for p in patterns:
+        d = decompose(aug, p)
+        assert (d.segments, d.complete) == decompose_by_child(aug.heap, p), p
 
 
 def test_double_node_contributes_both_positions():
