@@ -14,6 +14,9 @@ On top of a finalized heap this adds, in one linear pass each:
   single read head that never moves backwards: extend the current match
   while an edge exists, record the node, follow its suffix link, repeat.
   Each inner step advances the read head, so the whole pass is O(n).
+  The loop keeps the current depth, which tells it whether the next
+  edge sits in a flat table (keyed by the text bytes just read) or in
+  the per-letter dicts, the same split the builder uses.
 
 ``MrpBits`` packs the reach depths into exactly 2n bits: writing m_1 and
 then the deltas m_i - m_{i-1} + 1 in unary, each value followed by a 0.
@@ -71,41 +74,30 @@ class AugmentedHeap:
         mrp = array("i", bytes(4 * (n + 1)))
         cur = 0
         rh = 1  # read head, 1-based; never reset
-        if heap._flat:
-            l1, l2, l3 = heap._l1, heap._l2, heap._l3
-            deep = heap._deep
-            dep = 0
-            for i in range(1, n + 1):
-                while rh <= n:
-                    c = data[rh - 1]
-                    if dep > 2:
-                        nxt = deep[c].get(cur, 0)
-                    elif dep == 2:
-                        nxt = l3[(data[rh - 3] << 16) | (data[rh - 2] << 8) | c]
-                    elif dep == 1:
-                        nxt = l2[(data[rh - 2] << 8) | c]
-                    else:
-                        nxt = l1[c]
-                    if not nxt:
-                        break
-                    cur = nxt
-                    dep += 1
-                    rh += 1
-                mrp[i] = cur
-                cur = suffix[cur]
-                dep -= 1
-        else:
-            edge = heap._edge
-            get = edge.get
-            for i in range(1, n + 1):
-                while rh <= n:
-                    nxt = get((cur << 8) | data[rh - 1])
-                    if nxt is None:
-                        break
-                    cur = nxt
-                    rh += 1
-                mrp[i] = cur
-                cur = suffix[cur]
+        # every edge sits in one table: l1..l3 for parents of depth <= top
+        top = 2 if heap._flat else -1
+        l1, l2, l3 = heap._l1, heap._l2, heap._l3
+        deep = heap._deep
+        dep = 0
+        for i in range(1, n + 1):
+            while rh <= n:
+                c = data[rh - 1]
+                if dep > top:
+                    nxt = deep[c].get(cur)
+                elif dep == 2:
+                    nxt = l3[(data[rh - 3] << 16) | (data[rh - 2] << 8) | c]
+                elif dep == 1:
+                    nxt = l2[(data[rh - 2] << 8) | c]
+                else:
+                    nxt = l1[c]
+                if not nxt:
+                    break
+                cur = nxt
+                dep += 1
+                rh += 1
+            mrp[i] = cur
+            cur = suffix[cur]
+            dep -= 1
         self._mrp = mrp
 
     # ------------------------------------------------------------------

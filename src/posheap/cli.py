@@ -147,6 +147,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"posheap verify: --alphabet-size must be in 1..{MAX_ALPHABET}, "
               f"got {args.alphabet_size}", file=sys.stderr)
         return USAGE_ERROR
+    if args.max_n < 1:
+        print(f"posheap verify: --max-n must be at least 1, got {args.max_n}",
+              file=sys.stderr)
+        return USAGE_ERROR
     if args.index is not None:
         try:
             _load(args.index)

@@ -25,6 +25,12 @@ The builder records each node's parent at creation (``_parent``, kept in
 step with ``_suffix``); since the parent is created first, parent(w) < w.
 Node w's path label is the prefix T[w..w+depth(w)-1] of its own suffix,
 so its in-letter is T[w+depth(w)-1] and needs no edge-table lookup.
+
+Edges live in ``_deep``, one {parent: child} dict per letter.  Once the
+text reaches ``_FLAT_THRESHOLD`` the edges out of parents of depth <= 2
+move into flat tables keyed by their path labels (``l1``, ``l2``,
+``l3``); each edge sits in exactly one table, so both sizes share one
+construction loop, one reach loop and one pattern walk.
 """
 
 from __future__ import annotations
@@ -33,9 +39,9 @@ import mmap
 from array import array
 from dataclasses import dataclass
 
-# Batch construction switches to flat child tables for parents of depth
-# <= 2 once the text is at least this long; below it a single packed
-# dict is faster and far lighter per heap.
+# Construction moves the edges of parents of depth <= 2 into flat tables
+# once the text is at least this long.  Below it the 512 KiB level-2 list
+# and the level-3 map's pages would outweigh the heap itself.
 _FLAT_THRESHOLD = 1 << 18
 
 _MAX_TEXT = 2**31 - 2  # node ids are stored in int32 arrays
@@ -98,14 +104,13 @@ class PositionHeap:
         self._secondary = {}         # node -> secondary position, set by finalize
         self._active = 0
         self._finalized = False
-        # small mode: one dict keyed (node << 8) | letter
-        self._edge = {}
-        # large mode tables (allocated on migration)
+        # per-letter {parent: child}; in flat mode only parents of depth >= 3
+        self._deep = [{} for _ in range(256)]
+        # flat mode tables (allocated on migration)
         self._flat = False
         self._l1 = None              # children of the root, by letter
         self._l2 = None              # children of depth-1 nodes, by (letter, letter)
         self._l3 = None              # children of depth-2 nodes, int32, by 3-byte code
-        self._deep = None            # per-letter {parent: child} for depth >= 3
         # lazily materialized parent/letter/depth and preorder arrays
         self._mat = None
         self._mat_nodes = -1
@@ -159,12 +164,9 @@ class PositionHeap:
             raise ValueError(f"letter out of byte range: {letter!r}")
         if len(self._text) >= _MAX_TEXT:
             raise ValueError("text too long for this index")
-        if self._flat:
-            self._step_flat(letter)
-        else:
-            self._step_small(letter)
-            if len(self._text) >= _FLAT_THRESHOLD:
-                self._migrate_to_flat()
+        self._step(letter)
+        if not self._flat and len(self._text) >= _FLAT_THRESHOLD:
+            self._migrate_to_flat()
 
     def extend(self, data) -> None:
         """Process a chunk of text; equivalent to appending each byte."""
@@ -175,10 +177,7 @@ class PositionHeap:
             raise ValueError("text too long for this index")
         if not self._flat and len(self._text) + len(data) >= _FLAT_THRESHOLD:
             self._migrate_to_flat()
-        if self._flat:
-            self._extend_flat(data)
-        else:
-            self._extend_small(data)
+        self._extend(data)
 
     def finalize(self) -> None:
         """Recover secondary positions and freeze the heap.
@@ -202,136 +201,81 @@ class PositionHeap:
         self._finalized = True
 
     # ------------------------------------------------------------------
-    # small-mode steps: one packed dict
-
-    def _step_small(self, c: int) -> None:
-        edge = self._edge
-        suffix = self._suffix
-        parent = self._parent
-        cur = self._active
-        n_nodes = len(suffix)
-        self._text.append(c)
-        prev = -1
-        while True:
-            if cur < 0:
-                # virtual bottom: has an edge to the root for every letter
-                nxt = 0
-                break
-            nxt = edge.setdefault((cur << 8) | c, n_nodes)
-            if nxt != n_nodes:
-                break
-            suffix.append(0)
-            parent.append(cur)
-            if prev >= 0:
-                suffix[prev] = n_nodes
-            prev = n_nodes
-            n_nodes += 1
-            cur = suffix[cur]
-        if prev >= 0:
-            suffix[prev] = nxt
-        self._active = nxt
-
-    def _extend_small(self, data: bytes) -> None:
-        edge = self._edge
-        suffix = self._suffix
-        parent = self._parent
-        setd = edge.setdefault
-        cur = self._active
-        n_nodes = len(suffix)
-        text = self._text
-        # preallocated like _extend_flat (the active depth is k+1-s)
-        spare = len(text) + 1 - n_nodes + len(data) + 2
-        suffix += [0] * spare
-        parent += [0] * spare
-        dump = len(suffix) - 1
-        text.extend(data)
-        for c in data:
-            prev = dump
-            while True:
-                if cur < 0:
-                    nxt = 0
-                    break
-                nxt = setd((cur << 8) | c, n_nodes)
-                if nxt != n_nodes:
-                    break
-                parent[n_nodes] = cur
-                suffix[prev] = n_nodes
-                prev = n_nodes
-                n_nodes += 1
-                cur = suffix[cur]
-            suffix[prev] = nxt
-            cur = nxt
-        del suffix[n_nodes:]
-        del parent[n_nodes:]
-        self._active = cur
-
-    # ------------------------------------------------------------------
-    # large-mode steps: flat tables for shallow parents
+    # construction steps
+    #
+    # Every edge lives in one table.  Below _FLAT_THRESHOLD all of them
+    # sit in ``_deep``, one {parent: child} dict per letter.  In flat mode
+    # the edges out of depth 0..2 parents sit in ``l1``/``l2``/``l3``
+    # instead, so the two modes differ only in ``top``, the deepest parent
+    # depth read from the flat tables (-1 when there are none).
     #
     # Every node probed along the suffix-link chain stores the pending
     # secondary position p, so its path label is literally T[p..k], a
     # suffix of the text read so far.  A probe at a depth-d node for the
     # next letter c can therefore be keyed by the last d text bytes plus
     # c, which turns the busiest lookups (depths 0..2) into flat array
-    # reads instead of dict probes.
+    # reads instead of dict probes.  With p equal to the node count, the
+    # last d bytes start at text index p - 1.
 
     def _migrate_to_flat(self) -> None:
-        l1 = [0] * 256
-        l2 = [0] * 65536
-        l3 = _zeroed_l3()
-        deep = [{} for _ in range(256)]
+        self._l1, self._l2, self._l3 = self._shallow_tables()
         parent, letter, depth = self._materialize()
+        deep = self._deep
         for w in range(1, len(parent)):
-            v = parent[w]
-            c = letter[w]
-            d = depth[v]
-            if d == 0:
-                l1[c] = w
-            elif d == 1:
-                l2[(letter[v] << 8) | c] = w
-            elif d == 2:
-                l3[(letter[parent[v]] << 16) | (letter[v] << 8) | c] = w
-            else:
-                deep[c][v] = w
-        self._edge = None
-        self._l1, self._l2, self._l3, self._deep = l1, l2, l3, deep
+            if depth[w] <= 3:
+                del deep[letter[w]][parent[w]]
         self._flat = True
 
-    def _step_flat(self, c: int) -> None:
+    def _shallow_tables(self):
+        """l1, l2, l3 filled with every node of depth 1..3.
+
+        Node w's path label is T[w..w+depth(w)-1], which is also its key.
+        """
+        tables = ([0] * 256, [0] * 65536, _zeroed_l3())
+        text = self._text
+        depth = self._materialize()[2]
+        for w in range(1, len(depth)):
+            d = depth[w]
+            if d <= 3:
+                tables[d - 1][int.from_bytes(text[w - 1:w - 1 + d], "big")] = w
+        return tables
+
+    def _step(self, c: int) -> None:
         suffix = self._suffix
         parent = self._parent
-        l1, l2, l3, deep = self._l1, self._l2, self._l3, self._deep
         text = self._text
+        # every probe of this step reads the same letter
+        dc = self._deep[c]
+        top = 2 if self._flat else -1
         cur = self._active
         n_nodes = len(suffix)
         dep = len(text) + 1 - n_nodes
-        b1 = text[-1] if len(text) >= 1 else 0
-        b2 = text[-2] if len(text) >= 2 else 0
         text.append(c)
         prev = -1
         while True:
-            if dep > 2:
-                nxt = deep[c].setdefault(cur, n_nodes)
+            if dep > top:
+                nxt = dc.setdefault(cur, n_nodes)
                 if nxt != n_nodes:
                     break
             elif dep == 2:
-                i3 = (b2 << 16) | (b1 << 8) | c
-                nxt = l3[i3]
+                i3 = (text[-3] << 16) | (text[-2] << 8) | c
+                nxt = self._l3[i3]
                 if nxt:
                     break
-                l3[i3] = n_nodes
+                self._l3[i3] = n_nodes
             elif dep == 1:
-                i2 = (b1 << 8) | c
-                nxt = l2[i2]
+                i2 = (text[-2] << 8) | c
+                nxt = self._l2[i2]
                 if nxt:
                     break
-                l2[i2] = n_nodes
+                self._l2[i2] = n_nodes
             elif dep == 0:
-                nxt = l1[c]
+                nxt = self._l1[c]
                 if nxt:
                     break
-                l1[c] = n_nodes
+                self._l1[c] = n_nodes
             else:
+                # virtual bottom: has an edge to the root for every letter
                 nxt = 0
                 break
             suffix.append(0)
@@ -346,18 +290,18 @@ class PositionHeap:
             suffix[prev] = nxt
         self._active = nxt
 
-    def _extend_flat(self, data: bytes) -> None:
+    def _extend(self, data: bytes) -> None:
         suffix = self._suffix
         parent = self._parent
-        l1, l2, l3, deep = self._l1, self._l2, self._l3, self._deep
-        setds = [d.setdefault for d in deep]
+        l1, l2, l3 = self._l1, self._l2, self._l3
+        deep = self._deep
+        top = 2 if self._flat else -1
         cur = self._active
         n_nodes = len(suffix)
         text = self._text
-        # depth of the active node is k+1-s with s the active position
+        # depth of the active node is k+1-s with s the active position;
+        # dep + n_nodes stays fixed while a letter's chain is walked
         dep = len(text) + 1 - n_nodes
-        b1 = text[-1] if len(text) >= 1 else 0
-        b2 = text[-2] if len(text) >= 2 else 0
         text.extend(data)
         # at most dep + len(data) + 1 creations in this call, plus a
         # scratch slot ``dump`` that stands in for "no node created yet
@@ -367,23 +311,21 @@ class PositionHeap:
         parent += [0] * spare
         dump = len(suffix) - 1
         for c in data:
-            sd = None
+            dc = deep[c]
             prev = dump
             while True:
-                if dep > 2:
-                    if sd is None:
-                        sd = setds[c]
-                    nxt = sd(cur, n_nodes)
+                if dep > top:
+                    nxt = dc.setdefault(cur, n_nodes)
                     if nxt != n_nodes:
                         break
                 elif dep == 2:
-                    i3 = (b2 << 16) | (b1 << 8) | c
+                    i3 = (text[n_nodes - 1] << 16) | (text[n_nodes] << 8) | c
                     nxt = l3[i3]
                     if nxt:
                         break
                     l3[i3] = n_nodes
                 elif dep == 1:
-                    i2 = (b1 << 8) | c
+                    i2 = (text[n_nodes - 1] << 8) | c
                     nxt = l2[i2]
                     if nxt:
                         break
@@ -405,8 +347,6 @@ class PositionHeap:
             suffix[prev] = nxt
             cur = nxt
             dep += 1
-            b2 = b1
-            b1 = c
         del suffix[n_nodes:]
         del parent[n_nodes:]
         self._active = cur
@@ -475,19 +415,13 @@ class PositionHeap:
         self._check_node(v)
         if not 0 <= letter <= 255:
             raise ValueError(f"letter out of byte range: {letter!r}")
-        if not self._flat:
-            return self._edge.get((v << 8) | letter)
-        parent, lett, depth = self._materialize()
-        d = depth[v]
-        if d == 0:
-            w = self._l1[letter]
-        elif d == 1:
-            w = self._l2[(lett[v] << 8) | letter]
-        elif d == 2:
-            w = self._l3[(lett[parent[v]] << 16) | (lett[v] << 8) | letter]
-        else:
-            w = self._deep[letter].get(v, 0)
-        return w or None
+        if self._flat:
+            d = self._materialize()[2][v]
+            if d <= 2:
+                # v's path label T[v..v+d-1] keys its row of the flat table
+                row = int.from_bytes(self._text[v - 1:v - 1 + d], "big")
+                return (self._l1, self._l2, self._l3)[d][(row << 8) | letter] or None
+        return self._deep[letter].get(v)
 
     def _walk(self, data: bytes, pos: int) -> tuple[int, int]:
         """Follow the longest represented prefix of data[pos:] from the root.
@@ -495,18 +429,14 @@ class PositionHeap:
         Returns (node, end): the node reached and the index just past the
         consumed prefix (end == pos when data[pos] labels no root edge).
         The node reached at offset d has path label data[pos:pos+d], so in
-        flat mode the shallow tables are keyed by the data's own bytes.
+        flat mode the shallow tables are keyed by the data's own bytes.  A
+        walk that stops there probes ``_deep`` once more and misses, since
+        no edge of a shallow parent is kept in both places.
         """
         end = len(data)
         cur = 0
         i = pos
-        if not self._flat:
-            get = self._edge.get
-            while i < end and (nxt := get((cur << 8) | data[i])) is not None:
-                cur = nxt
-                i += 1
-            return cur, i
-        if i < end and (nxt := self._l1[data[i]]):
+        if self._flat and i < end and (nxt := self._l1[data[i]]):
             cur = nxt
             i += 1
             if i < end and (nxt := self._l2[(data[i - 1] << 8) | data[i]]):
@@ -516,10 +446,10 @@ class PositionHeap:
                         (data[i - 2] << 16) | (data[i - 1] << 8) | data[i]]):
                     cur = nxt
                     i += 1
-                    deep = self._deep
-                    while i < end and (nxt := deep[data[i]].get(cur)):
-                        cur = nxt
-                        i += 1
+        deep = self._deep
+        while i < end and (nxt := deep[data[i]].get(cur)):
+            cur = nxt
+            i += 1
         return cur, i
 
     def children_of(self, v: int) -> list[tuple[int, int]]:
@@ -608,16 +538,12 @@ class PositionHeap:
         h._secondary = dict(self._secondary)
         h._active = self._active
         h._finalized = self._finalized
+        h._deep = [dict(d) for d in self._deep]
         h._flat = self._flat
         if self._flat:
-            h._edge = None
-            h._l1 = list(self._l1)
-            h._l2 = list(self._l2)
-            h._l3 = _zeroed_l3()
-            h._l3.obj[:] = self._l3.obj
-            h._deep = [dict(d) for d in self._deep]
-        else:
-            h._edge = dict(self._edge)
+            # refilled rather than copied, so that only the pages of l3
+            # the text's 3-byte codes fall in are written
+            h._l1, h._l2, h._l3 = h._shallow_tables()
         return h
 
     def _check_node(self, v: int) -> None:
@@ -657,7 +583,7 @@ def oracle_build(text) -> PositionHeap:
     n = len(data)
     h = PositionHeap()
     h._text = bytearray(data)
-    edge = h._edge
+    deep = h._deep
     suffix = h._suffix
     parent = h._parent
     first_secondary = n + 1
@@ -666,7 +592,7 @@ def oracle_build(text) -> PositionHeap:
         cur = 0
         j = i - 1
         while j < n:
-            nxt = edge.get((cur << 8) | data[j])
+            nxt = deep[data[j]].get(cur)
             if nxt is None:
                 break
             cur = nxt
@@ -683,7 +609,7 @@ def oracle_build(text) -> PositionHeap:
             w = len(suffix)
             if w != i:
                 raise AssertionError("oracle: creation order broke primary==id")
-            edge[(cur << 8) | data[j]] = w
+            deep[data[j]][cur] = w
             suffix.append(0)
             parent.append(cur)
     # definitional suffix links: node of a*w maps to node of w
@@ -691,7 +617,7 @@ def oracle_build(text) -> PositionHeap:
         label = h.path_label(v)
         cur = 0
         for c in label[1:]:
-            cur = edge[(cur << 8) | c]
+            cur = deep[c][cur]
         suffix[v] = cur
     h._active = active
     h._finalized = True

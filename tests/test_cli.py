@@ -135,9 +135,14 @@ def test_verify_small(capsys):
     assert out.count("ok ") >= 8
 
 
-def test_verify_max_n_zero(capsys):
-    # empty exhaustive sets pass trivially
-    assert main(["verify", "--max-n", "0"]) == 0
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_max_n_below_one_is_usage_error(max_n, capsys):
+    # an empty exhaustive sweep would report "ok" without checking anything
+    assert main(["verify", "--max-n", max_n]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "--max-n" in captured.err
 
 
 def test_verify_index_negative_control(ref_index, tmp_path, capsys):

@@ -1,4 +1,6 @@
 import random
+import resource
+from array import array
 
 import pytest
 from hypothesis import given
@@ -293,8 +295,75 @@ def test_structurally_equal_checks_edge_tables(monkeypatch):
         if h._flat:
             h._l1[ord("a")], h._l1[ord("b")] = b, a
         else:
-            h._edge[ord("a")], h._edge[ord("b")] = b, a
+            h._deep[ord("a")][0], h._deep[ord("b")][0] = b, a
         assert "does not lead to it" in structurally_equal(h, oracle_build(REF_TEXT))
+
+
+def _l3_entries(l3) -> int:
+    # scanned 1 MiB at a time; pages never written read as zeros
+    raw = l3.obj
+    step = 1 << 20
+    count = 0
+    for at in range(0, len(raw), step):
+        chunk = raw[at:at + step]
+        if chunk.count(0) != len(chunk):
+            words = array("i", chunk)
+            count += len(words) - words.count(0)
+    return count
+
+
+def _assert_edges_in_one_table(h):
+    deep = sum(map(len, h._deep))
+    if not h._flat:
+        assert deep == h.node_count() - 1
+        return
+    shallow = sum(map(bool, h._l1)) + sum(map(bool, h._l2)) + _l3_entries(h._l3)
+    assert shallow + deep == h.node_count() - 1
+    depth = h._materialize()[2]
+    assert all(depth[v] > 2 for d in h._deep for v in d)
+
+
+def test_every_edge_in_exactly_one_table(monkeypatch):
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 10)
+    rng = random.Random(21)
+    texts = [REF_TEXT, b"a" * 40, b"ab" * 20, bytes(range(40))]
+    texts += [bytes(rng.choice(b"abcd") for _ in range(rng.randint(0, 60))) for _ in range(6)]
+    for s in texts:
+        h = hp.build(s)
+        assert h._flat == (len(s) >= 10)
+        _assert_edges_in_one_table(h)
+    # on-line streams that cross the threshold, in steps and in chunks
+    for trial in range(6):
+        s = bytes(rng.choice(b"abc") for _ in range(rng.randint(11, 60)))
+        h = hp.PositionHeap()
+        cut = rng.randint(0, 9)
+        for c in s[:cut]:
+            h.append(c)
+        _assert_edges_in_one_table(h)
+        for c in s[cut:cut + 5]:
+            h.append(c)
+        h.extend(s[cut + 5:])
+        assert h._flat
+        _assert_edges_in_one_table(h)
+
+
+def test_copy_of_flat_heap_writes_few_pages(monkeypatch):
+    # the copy's level-3 table is a fresh 64 MiB map; copying it whole
+    # would fault in all 16,384 pages
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 4)
+    h = hp.build(b"abcabdabc")
+    assert h._flat
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    snap = h.copy()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 16384 // 8
+    h.finalize()
+    snap.finalize()
+    assert structurally_equal(snap, h) is None
 
 
 def test_path_label_prefix_property_exhaustive():
