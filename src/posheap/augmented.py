@@ -15,8 +15,9 @@ On top of a finalized heap this adds, in one linear pass each:
   while an edge exists, record the node, follow its suffix link, repeat.
   Each inner step advances the read head, so the whole pass is O(n).
   The loop keeps the current depth, which tells it whether the next
-  edge sits in a flat table (keyed by the text bytes just read) or in
-  the per-letter dicts, the same split the builder uses.
+  edge sits in ``l3`` (a depth-2 parent of a flat heap, keyed by the text
+  bytes just read) or in the per-letter dicts, the same split the
+  builder uses.
 
 ``MrpBits`` packs the reach depths into exactly 2n bits: writing m_1 and
 then the deltas m_i - m_{i-1} + 1 in unary, each value followed by a 0.
@@ -74,22 +75,18 @@ class AugmentedHeap:
         mrp = array("i", bytes(4 * (n + 1)))
         cur = 0
         rh = 1  # read head, 1-based; never reset
-        # every edge sits in one table: l1..l3 for parents of depth <= top
-        top = 2 if heap._flat else -1
-        l1, l2, l3 = heap._l1, heap._l2, heap._l3
+        # every edge sits in one table: l3 for parents of depth d3
+        d3 = 2 if heap._flat else -2
+        l3 = heap._l3
         deep = heap._deep
         dep = 0
         for i in range(1, n + 1):
             while rh <= n:
                 c = data[rh - 1]
-                if dep > top:
+                if dep != d3:
                     nxt = deep[c].get(cur)
-                elif dep == 2:
-                    nxt = l3[(data[rh - 3] << 16) | (data[rh - 2] << 8) | c]
-                elif dep == 1:
-                    nxt = l2[(data[rh - 2] << 8) | c]
                 else:
-                    nxt = l1[c]
+                    nxt = l3[(data[rh - 3] << 16) | (data[rh - 2] << 8) | c]
                 if not nxt:
                     break
                 cur = nxt

@@ -24,7 +24,7 @@ _SUPER_WORDS = 8          # 512 bits per superblock
 _FULL = (1 << 64) - 1
 
 # per-byte helpers, LSB-first bit order
-_POP = [bin(b).count("1") for b in range(256)]
+_POP = [b.bit_count() for b in range(256)]
 _SELECT_BYTE = [[j for j in range(8) if b >> j & 1] for b in range(256)]
 _BYTE_DELTA = [2 * _POP[b] - 8 for b in range(256)]
 
@@ -48,7 +48,9 @@ class BitVector:
 
     def __init__(self, bits):
         if isinstance(bits, str):
-            bits = [1 if ch == "1" else 0 for ch in bits]
+            if bits.strip("01"):
+                raise ValueError(f"bit string may hold only '0' and '1': {bits!r}")
+            bits = [ch == "1" for ch in bits]
         words = []
         w = 0
         off = 0
@@ -79,7 +81,7 @@ class BitVector:
                     sup.append(ones)
                 within = 0
             blk[i] = within
-            c = bin(w).count("1")
+            c = w.bit_count()
             within += c
             ones += c
         sup.append(ones)  # sentinel: total ones
@@ -114,7 +116,7 @@ class BitVector:
         wi = (i - 1) >> 6
         off = (i - 1) & 63
         r = self._sup[wi >> 3] + self._blk[wi]
-        return r + bin(self.words[wi] & ((1 << (off + 1)) - 1)).count("1")
+        return r + (self.words[wi] & ((1 << (off + 1)) - 1)).bit_count()
 
     def rank0(self, i: int) -> int:
         return i - self.rank1(i)
@@ -128,7 +130,7 @@ class BitVector:
         rem = k - sup[b]
         wi = b * _SUPER_WORDS
         while True:
-            c = bin(self.words[wi]).count("1")
+            c = self.words[wi].bit_count()
             if rem <= c:
                 break
             rem -= c
@@ -155,7 +157,7 @@ class BitVector:
         wi = b * _SUPER_WORDS
         while True:
             width = self._word_width(wi)
-            z = width - bin(self.words[wi]).count("1")
+            z = width - self.words[wi].bit_count()
             if rem <= z:
                 break
             rem -= z
@@ -210,13 +212,7 @@ class ParenSequence:
             while off < width:
                 b = w >> off & 0xFF
                 if off + 8 <= width:
-                    if e + _BYTE_MINPRE[b] < m:
-                        # refine inside the byte
-                        ee = e
-                        for j in range(8):
-                            ee += 1 if b >> j & 1 else -1
-                            if ee < m:
-                                m = ee
+                    m = min(m, e + _BYTE_MINPRE[b])
                     e += _BYTE_DELTA[b]
                 else:
                     for j in range(width - off):
@@ -327,6 +323,9 @@ class ParenSequence:
 
     def is_ancestor(self, u: int, v: int) -> bool:
         """Ancestor-or-self test via parenthesis containment."""
+        for x in (u, v):
+            if not 0 <= x < len(self.open_of):
+                raise ValueError(f"no such node: {x}")
         ou = self.open_of[u]
         ov = self.open_of[v]
         if ou > ov:

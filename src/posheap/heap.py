@@ -26,11 +26,14 @@ step with ``_suffix``); since the parent is created first, parent(w) < w.
 Node w's path label is the prefix T[w..w+depth(w)-1] of its own suffix,
 so its in-letter is T[w+depth(w)-1] and needs no edge-table lookup.
 
-Edges live in ``_deep``, one {parent: child} dict per letter.  Once the
-text reaches ``_FLAT_THRESHOLD`` the edges out of parents of depth <= 2
-move into flat tables keyed by their path labels (``l1``, ``l2``,
-``l3``); each edge sits in exactly one table, so both sizes share one
-construction loop, one reach loop and one pattern walk.
+Edges live in ``_deep``, one {parent: child} dict per letter.  As in
+Ukkonen's algorithm, the virtual bottom (node -1, the root's suffix link)
+has an edge to the root on every letter, so each dict starts as
+``{-1: 0}``.  Once the text reaches ``_FLAT_THRESHOLD`` the edges out of
+depth-2 parents move into ``l3``, a flat table keyed by the 3-byte path
+label of the child; each edge sits in exactly one table, so both sizes
+share one construction loop, one reach loop and one pattern walk, each
+with one two-way dispatch on the parent's depth.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ import mmap
 from array import array
 from dataclasses import dataclass
 
-# Construction moves the edges of parents of depth <= 2 into flat tables
-# once the text is at least this long.  Below it the 512 KiB level-2 list
-# and the level-3 map's pages would outweigh the heap itself.
+# Construction moves the edges of depth-2 parents into ``l3`` once the
+# text is at least this long.  Below it the level-3 map's pages would
+# outweigh the heap: a 6 KiB text streamed into a flat heap took 289
+# minor faults instead of 145, about 580 KiB more per live heap.
 _FLAT_THRESHOLD = 1 << 18
 
 _MAX_TEXT = 2**31 - 2  # node ids are stored in int32 arrays
@@ -104,13 +108,11 @@ class PositionHeap:
         self._secondary = {}         # node -> secondary position, set by finalize
         self._active = 0
         self._finalized = False
-        # per-letter {parent: child}; in flat mode only parents of depth >= 3
-        self._deep = [{} for _ in range(256)]
-        # flat mode tables (allocated on migration)
+        # per-letter {parent: child}, seeded with the virtual bottom's edge
+        # to the root; in flat mode no parent of depth 2
+        self._deep = [{-1: 0} for _ in range(256)]
         self._flat = False
-        self._l1 = None              # children of the root, by letter
-        self._l2 = None              # children of depth-1 nodes, by (letter, letter)
-        self._l3 = None              # children of depth-2 nodes, int32, by 3-byte code
+        self._l3 = None              # flat mode: children of depth-2 nodes, by 3-byte code
         # lazily materialized parent/letter/depth and preorder arrays
         self._mat = None
         self._mat_nodes = -1
@@ -204,41 +206,39 @@ class PositionHeap:
     # construction steps
     #
     # Every edge lives in one table.  Below _FLAT_THRESHOLD all of them
-    # sit in ``_deep``, one {parent: child} dict per letter.  In flat mode
-    # the edges out of depth 0..2 parents sit in ``l1``/``l2``/``l3``
-    # instead, so the two modes differ only in ``top``, the deepest parent
-    # depth read from the flat tables (-1 when there are none).
+    # sit in ``_deep``, one {parent: child} dict per letter, the virtual
+    # bottom's included.  In flat mode the edges out of depth-2 parents
+    # sit in ``l3`` instead, so the two modes differ only in ``d3``, the
+    # parent depth read from ``l3`` (-2, which no parent has, when small).
     #
     # Every node probed along the suffix-link chain stores the pending
     # secondary position p, so its path label is literally T[p..k], a
-    # suffix of the text read so far.  A probe at a depth-d node for the
-    # next letter c can therefore be keyed by the last d text bytes plus
-    # c, which turns the busiest lookups (depths 0..2) into flat array
-    # reads instead of dict probes.  With p equal to the node count, the
-    # last d bytes start at text index p - 1.
+    # suffix of the text read so far.  A probe at a depth-2 node for the
+    # next letter c can therefore be keyed by the last two text bytes
+    # plus c, a flat array read instead of a dict probe.  With p equal to
+    # the node count, those bytes start at text index p - 1.
 
     def _migrate_to_flat(self) -> None:
-        self._l1, self._l2, self._l3 = self._shallow_tables()
+        self._l3 = self._level3()
         parent, letter, depth = self._materialize()
         deep = self._deep
         for w in range(1, len(parent)):
-            if depth[w] <= 3:
+            if depth[w] == 3:
                 del deep[letter[w]][parent[w]]
         self._flat = True
 
-    def _shallow_tables(self):
-        """l1, l2, l3 filled with every node of depth 1..3.
+    def _level3(self) -> memoryview:
+        """l3 filled with every node of depth 3, keyed by its path label.
 
-        Node w's path label is T[w..w+depth(w)-1], which is also its key.
+        Node w's path label is T[w..w+2].
         """
-        tables = ([0] * 256, [0] * 65536, _zeroed_l3())
+        l3 = _zeroed_l3()
         text = self._text
         depth = self._materialize()[2]
         for w in range(1, len(depth)):
-            d = depth[w]
-            if d <= 3:
-                tables[d - 1][int.from_bytes(text[w - 1:w - 1 + d], "big")] = w
-        return tables
+            if depth[w] == 3:
+                l3[(text[w - 1] << 16) | (text[w] << 8) | text[w + 1]] = w
+        return l3
 
     def _step(self, c: int) -> None:
         suffix = self._suffix
@@ -246,38 +246,23 @@ class PositionHeap:
         text = self._text
         # every probe of this step reads the same letter
         dc = self._deep[c]
-        top = 2 if self._flat else -1
+        d3 = 2 if self._flat else -2
         cur = self._active
         n_nodes = len(suffix)
         dep = len(text) + 1 - n_nodes
         text.append(c)
         prev = -1
         while True:
-            if dep > top:
+            if dep != d3:
                 nxt = dc.setdefault(cur, n_nodes)
                 if nxt != n_nodes:
                     break
-            elif dep == 2:
+            else:
                 i3 = (text[-3] << 16) | (text[-2] << 8) | c
                 nxt = self._l3[i3]
                 if nxt:
                     break
                 self._l3[i3] = n_nodes
-            elif dep == 1:
-                i2 = (text[-2] << 8) | c
-                nxt = self._l2[i2]
-                if nxt:
-                    break
-                self._l2[i2] = n_nodes
-            elif dep == 0:
-                nxt = self._l1[c]
-                if nxt:
-                    break
-                self._l1[c] = n_nodes
-            else:
-                # virtual bottom: has an edge to the root for every letter
-                nxt = 0
-                break
             suffix.append(0)
             parent.append(cur)
             if prev >= 0:
@@ -293,9 +278,9 @@ class PositionHeap:
     def _extend(self, data: bytes) -> None:
         suffix = self._suffix
         parent = self._parent
-        l1, l2, l3 = self._l1, self._l2, self._l3
+        l3 = self._l3
         deep = self._deep
-        top = 2 if self._flat else -1
+        d3 = 2 if self._flat else -2
         cur = self._active
         n_nodes = len(suffix)
         text = self._text
@@ -314,30 +299,16 @@ class PositionHeap:
             dc = deep[c]
             prev = dump
             while True:
-                if dep > top:
+                if dep != d3:
                     nxt = dc.setdefault(cur, n_nodes)
                     if nxt != n_nodes:
                         break
-                elif dep == 2:
+                else:
                     i3 = (text[n_nodes - 1] << 16) | (text[n_nodes] << 8) | c
                     nxt = l3[i3]
                     if nxt:
                         break
                     l3[i3] = n_nodes
-                elif dep == 1:
-                    i2 = (text[n_nodes - 1] << 8) | c
-                    nxt = l2[i2]
-                    if nxt:
-                        break
-                    l2[i2] = n_nodes
-                elif dep == 0:
-                    nxt = l1[c]
-                    if nxt:
-                        break
-                    l1[c] = n_nodes
-                else:
-                    nxt = 0
-                    break
                 parent[n_nodes] = cur
                 suffix[prev] = n_nodes
                 prev = n_nodes
@@ -415,12 +386,11 @@ class PositionHeap:
         self._check_node(v)
         if not 0 <= letter <= 255:
             raise ValueError(f"letter out of byte range: {letter!r}")
-        if self._flat:
-            d = self._materialize()[2][v]
-            if d <= 2:
-                # v's path label T[v..v+d-1] keys its row of the flat table
-                row = int.from_bytes(self._text[v - 1:v - 1 + d], "big")
-                return (self._l1, self._l2, self._l3)[d][(row << 8) | letter] or None
+        parent = self._parent
+        if self._flat and v and parent[v] and not parent[parent[v]]:
+            # depth-2 v: its path label T[v..v+1] keys its row of l3
+            text = self._text
+            return self._l3[(text[v - 1] << 16) | (text[v] << 8) | letter] or None
         return self._deep[letter].get(v)
 
     def _walk(self, data: bytes, pos: int) -> tuple[int, int]:
@@ -429,25 +399,22 @@ class PositionHeap:
         Returns (node, end): the node reached and the index just past the
         consumed prefix (end == pos when data[pos] labels no root edge).
         The node reached at offset d has path label data[pos:pos+d], so in
-        flat mode the shallow tables are keyed by the data's own bytes.  A
-        walk that stops there probes ``_deep`` once more and misses, since
-        no edge of a shallow parent is kept in both places.
+        flat mode the depth-2 step (i == pos + 2) reads ``l3`` keyed by the
+        data's own bytes; every other step probes ``_deep``.
         """
         end = len(data)
+        deep = self._deep
+        l3 = self._l3
+        at3 = pos + (2 if self._flat else -2)
         cur = 0
         i = pos
-        if self._flat and i < end and (nxt := self._l1[data[i]]):
-            cur = nxt
-            i += 1
-            if i < end and (nxt := self._l2[(data[i - 1] << 8) | data[i]]):
-                cur = nxt
-                i += 1
-                if i < end and (nxt := self._l3[
-                        (data[i - 2] << 16) | (data[i - 1] << 8) | data[i]]):
-                    cur = nxt
-                    i += 1
-        deep = self._deep
-        while i < end and (nxt := deep[data[i]].get(cur)):
+        while i < end:
+            if i != at3:
+                nxt = deep[data[i]].get(cur)
+            else:
+                nxt = l3[(data[i - 2] << 16) | (data[i - 1] << 8) | data[i]]
+            if not nxt:
+                break
             cur = nxt
             i += 1
         return cur, i
@@ -543,7 +510,7 @@ class PositionHeap:
         if self._flat:
             # refilled rather than copied, so that only the pages of l3
             # the text's 3-byte codes fall in are written
-            h._l1, h._l2, h._l3 = h._shallow_tables()
+            h._l3 = h._level3()
         return h
 
     def _check_node(self, v: int) -> None:

@@ -64,6 +64,12 @@ def test_rank_select_bounds():
         b.bit(0)
 
 
+def test_bit_string_rejects_other_characters():
+    for bad in ("1021", "10 1", "1x"):
+        with pytest.raises(ValueError):
+            BitVector(bad)
+
+
 def test_empty_vector():
     b = BitVector("")
     assert len(b) == 0
@@ -156,6 +162,13 @@ def test_parens_ancestor_reference(ref_heap, node_by_label):
     for v in range(12):
         assert p.is_ancestor(0, v)
         assert p.is_ancestor(v, v)
+
+
+def test_parens_ancestor_rejects_unknown_nodes(ref_heap):
+    p = parens_from_heap(ref_heap)
+    for u, v in ((-1, 11), (0, -1), (12, 0), (0, 12)):
+        with pytest.raises(ValueError):
+            p.is_ancestor(u, v)
 
 
 @given(st.binary(max_size=60))

@@ -292,10 +292,7 @@ def test_structurally_equal_checks_edge_tables(monkeypatch):
         monkeypatch.setattr(hp, "_FLAT_THRESHOLD", threshold)
         h = hp.index(REF_TEXT)
         a, b = h.child(0, ord("a")), h.child(0, ord("b"))
-        if h._flat:
-            h._l1[ord("a")], h._l1[ord("b")] = b, a
-        else:
-            h._deep[ord("a")][0], h._deep[ord("b")][0] = b, a
+        h._deep[ord("a")][0], h._deep[ord("b")][0] = b, a
         assert "does not lead to it" in structurally_equal(h, oracle_build(REF_TEXT))
 
 
@@ -313,14 +310,15 @@ def _l3_entries(l3) -> int:
 
 
 def _assert_edges_in_one_table(h):
-    deep = sum(map(len, h._deep))
+    # every per-letter dict keeps the virtual bottom's edge to the root
+    assert all(d[-1] == 0 for d in h._deep)
+    deep = sum(map(len, h._deep)) - 256
     if not h._flat:
         assert deep == h.node_count() - 1
         return
-    shallow = sum(map(bool, h._l1)) + sum(map(bool, h._l2)) + _l3_entries(h._l3)
-    assert shallow + deep == h.node_count() - 1
+    assert _l3_entries(h._l3) + deep == h.node_count() - 1
     depth = h._materialize()[2]
-    assert all(depth[v] > 2 for d in h._deep for v in d)
+    assert all(depth[v] != 2 for d in h._deep for v in d if v >= 0)
 
 
 def test_every_edge_in_exactly_one_table(monkeypatch):
@@ -430,6 +428,32 @@ def test_children_sorted_by_letter(monkeypatch):
         h = hp.index(REF_TEXT + bytes(range(0, 256, 5)) + REF_TEXT)
         assert h._flat == (threshold == 4)
         assert [h.children_of(v) for v in range(h.node_count())] == h.children_lists()
+
+
+def test_flat_child_between_appends_reads_no_derived_arrays(monkeypatch):
+    # child() on a growing flat heap must not rebuild the O(n)
+    # parent/letter/depth arrays after every append
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 4)
+    rng = random.Random(8)
+    s = REF_TEXT + bytes(rng.choice(b"abc") for _ in range(40))
+    h = hp.PositionHeap()
+    for c in s[:4]:
+        h.append(c)
+    assert h._flat
+
+    def no_materialize():
+        raise AssertionError("_materialize called")
+
+    monkeypatch.setattr(h, "_materialize", no_materialize)
+    for k in range(5, len(s) + 1):
+        h.append(s[k - 1])
+        ref = oracle_build(s[:k])
+        assert h.node_count() == ref.node_count()
+        for v in range(ref.node_count()):
+            assert h.children_of(v) == ref.children_of(v), (k, v)
+            assert h.child(v, s[k - 1]) == ref.child(v, s[k - 1]), (k, v)
 
 
 def test_to_bytes_coercion():
