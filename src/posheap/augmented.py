@@ -6,9 +6,14 @@ On top of a finalized heap this adds, in one linear pass each:
 * a preorder range [pre, last] per node (``PositionHeap._preorder``,
   two passes over the parent array; children in id order, which
   containment does not care about), giving O(1) ancestor tests by
-  interval containment and subtrees as slices of ``by_pre``.  The
+  interval containment and subtrees as slices of ``by_pre``.  Since a
+  primary position is its node's id, a slice of ``by_pre`` is also the
+  list of the primary positions stored in that subtree.  The
   balanced-parenthesis encoding of the same preorder (``parens``), an
   alternative ancestor structure, is built on first use;
+* the secondary positions ordered by the preorder number of their node
+  (``sec_pre``, ``sec_pos``; sorted once, O(h log h) for h secondaries),
+  so the secondaries of a subtree are the range found by two bisections;
 * maximal-reach targets: for every position i, the node of the longest
   prefix of T[i..n] that is represented in the heap.  Computed with a
   single read head that never moves backwards: extend the current match
@@ -45,6 +50,7 @@ class AugmentedHeap:
         self.n = heap.n
         self._build_node_of()
         self.pre, self.last, self._by_pre = heap._preorder()
+        self._sort_secondaries()
         self._compute_mrp()
 
     # ------------------------------------------------------------------
@@ -61,6 +67,13 @@ class AugmentedHeap:
         if node_of.count(0) != 1:
             raise AssertionError("position->node map has holes")
         self._node_of = node_of
+
+    def _sort_secondaries(self):
+        # (pre of the storing node, position) for every secondary, by pre
+        pre = self.pre
+        pairs = sorted((pre[v], pos) for v, pos in self.heap._secondary.items())
+        self._sec_pre = array("i", [p for p, _ in pairs])
+        self._sec_pos = array("i", [pos for _, pos in pairs])
 
     @cached_property
     def parens(self) -> ParenSequence:

@@ -17,7 +17,7 @@ from . import __version__
 from .augmented import augment
 from .heap import PositionHeap, build
 from .index_io import IndexFileError, index_dot, index_json, load_index
-from .search import find_all
+from .search import count, find_all
 from .verify import run_verify
 
 USAGE_ERROR = 2
@@ -133,11 +133,10 @@ def cmd_query(args: argparse.Namespace) -> int:
     except IndexFileError as e:
         print(f"posheap: malformed index: {e}", file=sys.stderr)
         return 1
-    occurrences = find_all(aug, pattern)
     if args.count:
-        print(len(occurrences))
+        print(count(aug, pattern))
     else:
-        for pos in occurrences:
+        for pos in find_all(aug, pattern):
             print(pos)
     return 0
 

@@ -8,7 +8,11 @@ report.
 
 With one segment, the pattern is a node u: every position stored in u's
 subtree matches, and a position i at a proper ancestor of u matches iff
-u is an ancestor-or-self of i's maximal-reach node.
+u is an ancestor-or-self of i's maximal-reach node.  The subtree is the
+preorder range [pre[u], last[u]], so its primary positions (a primary
+position is its node's id) are one slice of ``by_pre``, and its
+secondary positions one slice of the secondaries sorted by preorder,
+found by two bisections; neither visits the subtree node by node.
 
 With several segments, a candidate start q for the tail beginning at
 segment j must be stored on the root-to-u_j path with its maximal reach
@@ -16,12 +20,14 @@ exactly u_j (a longer reach would contradict the segment's maximality
 against the text), and q + len_j must match from segment j+1.  Segments
 are processed last to first, keeping the survivor set of each stage;
 stage sets are bounded by twice the segment length, path scans by the
-segment length, and subtree reporting by the output, which gives
-O(m + occ) work overall.
+segment length, and subtree reporting by the output plus O(log h) for
+h secondaries, which gives O(m + occ + log h) work overall.  ``find_all``
+then sorts the occurrences; ``count`` only measures them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .augmented import AugmentedHeap
@@ -42,11 +48,17 @@ class SegmentDecomposition:
 
 @dataclass
 class SearchStats:
-    """Work counters of ``find_all``; they accumulate across calls."""
+    """Work counters of ``find_all``; they accumulate across calls.
+
+    ``candidates`` counts the positions whose maximal reach was tested:
+    those stored on the ancestor walk of a one-segment pattern and on
+    the root paths of the multi-segment stages.
+    """
 
     steps: int = 0
     segments: int = 0
     occurrences: int = 0
+    candidates: int = 0
 
 
 def _pattern_bytes(pattern) -> bytes:
@@ -75,8 +87,8 @@ def decompose(aug: AugmentedHeap, pattern) -> SegmentDecomposition:
     return _decompose(aug.heap, _pattern_bytes(pattern))
 
 
-def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> list[int]:
-    """All start positions of the pattern in the indexed text, sorted."""
+def _occurrences(aug: AugmentedHeap, pattern, stats: SearchStats | None) -> list[int]:
+    """All start positions of the pattern, unsorted."""
     pattern = _pattern_bytes(pattern)
     d = _decompose(aug.heap, pattern)
     if stats is not None:
@@ -92,20 +104,17 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
     last = aug.last
     n = aug.n
     secondary = heap._secondary
+    parent = heap._parent
 
     if k == 1:
         u, length = segs[0]
-        out = []
-        for v in aug._by_pre[pre[u]:last[u] + 1]:
-            out.append(v)  # primary position == node id
-            q = secondary.get(v)
-            if q is not None:
-                out.append(q)
+        pu, lu = pre[u], last[u]
+        out = aug._by_pre[pu:lu + 1].tolist()  # primary position == node id
+        sec_pre = aug._sec_pre
+        out += aug._sec_pos[bisect_left(sec_pre, pu):bisect_right(sec_pre, lu)]
         if stats is not None:
             stats.steps += len(out) + length
         # positions at proper ancestors match iff their reach passes u
-        pu, lu = pre[u], last[u]
-        parent = heap._parent
         v = parent[u]
         while v > 0:
             for q in (v, secondary.get(v)):
@@ -115,14 +124,13 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
                         out.append(q)
             if stats is not None:
                 stats.steps += 1
+                stats.candidates += 1 + (v in secondary)
             v = parent[v]
-        out.sort()
         if stats is not None:
             stats.occurrences += len(out)
         return out
 
     # several segments: filter candidates from the last stage backwards
-    parent = heap._parent
     survivors: set[int] = set()
     for j in range(k - 2, -1, -1):
         u, length = segs[j]
@@ -147,9 +155,10 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
                     stage.add(q)
             if stats is not None:
                 stats.steps += 1
+                stats.candidates += 1 + (v in secondary)
             v = parent[v]
         survivors = stage
-    out = sorted(survivors)
+    out = list(survivors)
     if stats is not None:
         stats.steps += len(out)
         stats.occurrences += len(out)
@@ -162,9 +171,16 @@ def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> l
     return out
 
 
+def find_all(aug: AugmentedHeap, pattern, stats: SearchStats | None = None) -> list[int]:
+    """All start positions of the pattern in the indexed text, sorted."""
+    out = _occurrences(aug, pattern, stats)
+    out.sort()
+    return out
+
+
 def count(aug: AugmentedHeap, pattern) -> int:
-    """Number of occurrences."""
-    return len(find_all(aug, pattern))
+    """Number of occurrences; the work of ``find_all`` without its sort."""
+    return len(_occurrences(aug, pattern, None))
 
 
 def find_all_naive(text, pattern) -> list[int]:

@@ -48,23 +48,26 @@ def make_text(size: int, kind: str, seed: int) -> bytes:
 
 
 def time_build(data: bytes, repeats: int = 2) -> tuple[float, PositionHeap]:
+    """Best build+finalize time of the repeats, and the last heap built.
+
+    Each repeat drops the previous heap first, so only one heap is alive
+    at a time; the builds are deterministic, so any of them can be checked.
+    """
     best = None
     heap = None
     for _ in range(max(1, repeats)):
+        heap = None
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
         t0 = time.perf_counter()
-        h = build(data)
-        h.finalize()
+        heap = build(data)
+        heap.finalize()
         dt = time.perf_counter() - t0
         if enabled:
             gc.enable()
         if best is None or dt < best:
             best = dt
-            heap = h
-        else:
-            del h
     return best, heap
 
 

@@ -161,15 +161,15 @@ def decompose_by_child(heap, pattern):
     return segments, True
 
 
-def _walk_text(kind, rng):
+def _walk_text(kind, rng, size=1200):
     if kind == "unary":
-        return b"a" * 1200
+        return b"a" * size
     if kind == "periodic":
-        return b"abc" * 400
+        return b"abc" * -(-size // 3)
     if kind == "fibonacci":
-        return fibonacci_word(1200)
+        return fibonacci_word(size)
     letters = bytes(rng.sample(range(256), 5))
-    return bytes(rng.choice(letters) for _ in range(1200))
+    return bytes(rng.choice(letters) for _ in range(size))
 
 
 @pytest.mark.parametrize("kind", ["unary", "periodic", "fibonacci", "random"])
@@ -214,3 +214,70 @@ def test_single_letter_patterns():
         aug = augment(index(s))
         for c in b"ab":
             assert find_all(aug, bytes([c])) == find_all_naive(s, bytes([c]))
+
+
+@pytest.mark.parametrize("kind", ["unary", "periodic", "fibonacci"])
+@pytest.mark.parametrize("mode", ["small", "flat"])
+def test_report_matches_naive_with_many_secondaries(mode, kind, monkeypatch):
+    # unary and periodic texts store a quarter to a half of their
+    # positions as secondaries, so the subtree report bisects large arrays
+    import posheap.heap as hp
+
+    if mode == "flat":
+        monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 4)
+    rng = random.Random(kind)
+    s = _walk_text(kind, rng, 32768)
+    aug = augment(index(s))
+    assert aug.heap._flat == (mode == "flat")
+    absent = min(set(range(256)) - set(s))
+    patterns = list(all_strings(bytes(sorted(set(s))) + bytes([absent]), 4, min_len=1))
+    for _ in range(40):
+        m = rng.randint(1, 300)
+        start = rng.randint(0, len(s) - m)
+        patterns.append(s[start:start + m])
+    for p in patterns:
+        want = find_all_naive(s, p)
+        assert find_all(aug, p) == want, p
+        assert count(aug, p) == len(want), p
+
+
+@pytest.mark.parametrize(
+    "s",
+    [REF_TEXT, b"a" * 500, b"abc" * 200, fibonacci_word(500), bytes(range(256)) * 3],
+)
+def test_secondaries_sorted_by_preorder(s):
+    aug = augment(index(s))
+    heap = aug.heap
+    h = aug.n + 1 - heap.node_count()
+    assert len(aug._sec_pre) == len(aug._sec_pos) == h == len(heap._secondary)
+    assert all(a < b for a, b in zip(aug._sec_pre, aug._sec_pre[1:]))
+    assert sorted(aug._sec_pos) == sorted(heap._secondary.values())
+    for p, q in zip(aug._sec_pre, aug._sec_pos):
+        v = aug.node_of(q)
+        assert heap._secondary[v] == q and aug.pre[v] == p
+
+
+def test_search_stats_pinned(ref_aug):
+    # fixed work counts on the reference text; perfbench compares these
+    # counts across commits, so the report's accounting must not drift
+    patterns = list(all_strings(b"abz", 4, min_len=1))
+    patterns += [REF_TEXT, REF_TEXT[3:9], b"bbaabaab"]
+    stats = SearchStats()
+    for p in patterns:
+        find_all(ref_aug, p, stats=stats)
+    assert (stats.steps, stats.segments, stats.occurrences) == (604, 112, 49)
+
+
+def test_search_stats_candidates(ref_aug):
+    # "ab": the ancestor walk tests the one position at node "a"
+    stats = SearchStats()
+    find_all(ref_aug, b"ab", stats=stats)
+    assert stats.candidates == 1
+    # "bab" = "ba" + "b": the stage walks "ba" (7) and "b" (3 and 13)
+    stats = SearchStats()
+    find_all(ref_aug, b"bab", stats=stats)
+    assert stats.candidates == 3
+    # absent letters test nothing
+    stats = SearchStats()
+    find_all(ref_aug, b"z", stats=stats)
+    assert stats.candidates == 0
