@@ -2,7 +2,6 @@
 
 On top of a finalized heap this adds, in one linear pass each:
 
-* ``node_of``: position -> node holding it (primary or secondary slot);
 * a preorder range [pre, last] per node (``PositionHeap._preorder``,
   two passes over the parent array; children in id order, which
   containment does not care about), giving O(1) ancestor tests by
@@ -11,18 +10,18 @@ On top of a finalized heap this adds, in one linear pass each:
   list of the primary positions stored in that subtree.  The
   balanced-parenthesis encoding of the same preorder (``parens``), an
   alternative ancestor structure, is built on first use;
-* the secondary positions ordered by the preorder number of their node
-  (``sec_pre``, ``sec_pos``; sorted once, O(h log h) for h secondaries),
-  so the secondaries of a subtree are the range found by two bisections;
-* maximal-reach targets: for every position i, the node of the longest
-  prefix of T[i..n] that is represented in the heap.  Computed with a
-  single read head that never moves backwards: extend the current match
-  while an edge exists, record the node, follow its suffix link, repeat.
-  Each inner step advances the read head, so the whole pass is O(n).
-  The loop keeps the current depth, which tells it whether the next
-  edge sits in ``l3`` (a depth-2 parent of a flat heap, keyed by the text
-  bytes just read) or in the per-letter dicts, the same split the
-  builder uses.
+* the h secondary positions node_count()..n: their nodes in one h-entry
+  array (``sec_node``), filled in the pass that checks each is stored
+  once and orders them by their node's preorder number (``sec_pre``,
+  ``sec_pos``; O(h log h)), so a subtree's secondaries are the range
+  found by two bisections.  ``node_of`` of a smaller position is the
+  position itself;
+* maximal-reach targets (``PositionHeap._reach``): for every position i,
+  the node of the longest prefix of T[i..n] that is represented in the
+  heap, by a single read head along the suffix links in O(n).
+
+Node depths come from the heap (``PositionHeap._depths``), derived from
+its parent array; this module never reads the heap's edge tables.
 
 ``MrpBits`` packs the reach depths into exactly 2n bits: writing m_1 and
 then the deltas m_i - m_{i-1} + 1 in unary, each value followed by a 0.
@@ -48,30 +47,31 @@ class AugmentedHeap:
             raise ValueError("augment requires a finalized heap")
         self.heap = heap
         self.n = heap.n
-        self._build_node_of()
         self.pre, self.last, self._by_pre = heap._preorder()
-        self._sort_secondaries()
-        self._compute_mrp()
+        self._index_secondaries()
+        self._mrp = heap._reach()
 
     # ------------------------------------------------------------------
 
-    def _build_node_of(self):
-        n = self.n
-        n_nodes = self.heap.node_count()
-        # primary position == node id; the rest is filled from secondaries
-        node_of = array("i", range(n_nodes))
-        node_of.frombytes(bytes(4 * (n + 1 - n_nodes)))
-        for v, pos in self.heap._secondary.items():
-            node_of[pos] = v
-        # every position must be covered exactly once: only slot 0 is 0
-        if node_of.count(0) != 1:
+    def _index_secondaries(self):
+        secondary = self.heap._secondary
+        first = self.heap.node_count()
+        h = self.n + 1 - first
+        # positions first..n must each be stored once, as a secondary
+        if len(secondary) != h:
             raise AssertionError("position->node map has holes")
-        self._node_of = node_of
-
-    def _sort_secondaries(self):
-        # (pre of the storing node, position) for every secondary, by pre
+        sec_node = array("i", bytes(4 * h))
         pre = self.pre
-        pairs = sorted((pre[v], pos) for v, pos in self.heap._secondary.items())
+        pairs = []
+        for v, pos in secondary.items():
+            i = pos - first
+            if not 0 <= i < h or sec_node[i]:
+                raise AssertionError(f"secondary position {pos} out of range or stored twice")
+            sec_node[i] = v
+            pairs.append((pre[v], pos))
+        # (pre of the storing node, position) for every secondary, by pre
+        pairs.sort()
+        self._sec_node = sec_node
         self._sec_pre = array("i", [p for p, _ in pairs])
         self._sec_pos = array("i", [pos for _, pos in pairs])
 
@@ -80,43 +80,14 @@ class AugmentedHeap:
         """Balanced-parenthesis encoding of the heap's preorder."""
         return parens_from_heap(self.heap)
 
-    def _compute_mrp(self):
-        heap = self.heap
-        n = self.n
-        data = heap.text_bytes()
-        suffix = heap._suffix
-        mrp = array("i", bytes(4 * (n + 1)))
-        cur = 0
-        rh = 1  # read head, 1-based; never reset
-        # every edge sits in one table: l3 for parents of depth d3
-        d3 = 2 if heap._flat else -2
-        l3 = heap._l3
-        deep = heap._deep
-        dep = 0
-        for i in range(1, n + 1):
-            while rh <= n:
-                c = data[rh - 1]
-                if dep != d3:
-                    nxt = deep[c].get(cur)
-                else:
-                    nxt = l3[(data[rh - 3] << 16) | (data[rh - 2] << 8) | c]
-                if not nxt:
-                    break
-                cur = nxt
-                dep += 1
-                rh += 1
-            mrp[i] = cur
-            cur = suffix[cur]
-            dep -= 1
-        self._mrp = mrp
-
     # ------------------------------------------------------------------
     # queries
 
     def node_of(self, i: int) -> int:
         """Node storing position i (as primary or secondary)."""
         self._check_pos(i)
-        return self._node_of[i]
+        first = self.heap.node_count()
+        return i if i < first else self._sec_node[i - first]
 
     def mrp_node(self, i: int) -> int:
         """Node of the longest represented prefix of T[i..n]."""
@@ -144,7 +115,7 @@ class AugmentedHeap:
         return MrpBits.from_depths(self.mrp_depths())
 
     def mrp_depths(self) -> array:
-        depth = self.heap._materialize()[2]
+        depth = self.heap._depths()
         mrp = self._mrp
         return array("i", (depth[mrp[i]] for i in range(1, self.n + 1)))
 

@@ -17,10 +17,11 @@ ancestor tests at desk scale.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left
 
 _WORD = 64
 _SUPER_WORDS = 8          # 512 bits per superblock
+_SUPER_BITS = _SUPER_WORDS * _WORD
 _FULL = (1 << 64) - 1
 
 # per-byte helpers, LSB-first bit order
@@ -125,50 +126,36 @@ class BitVector:
         """Position of the k-th one, 1-based."""
         if not 1 <= k <= self.n_ones:
             raise ValueError(f"select1 argument out of range: {k}")
-        sup = self._sup
-        b = bisect_right(sup, k - 1, 1, len(sup) - 1) - 1
-        rem = k - sup[b]
-        wi = b * _SUPER_WORDS
-        while True:
-            c = self.words[wi].bit_count()
-            if rem <= c:
-                break
-            rem -= c
-            wi += 1
-        return wi * _WORD + self._select_in_word(self.words[wi], rem) + 1
+        return self._select(k, True)
 
     def select0(self, k: int) -> int:
         """Position of the k-th zero, 1-based."""
         if not 1 <= k <= self.n_zeros:
             raise ValueError(f"select0 argument out of range: {k}")
+        return self._select(k, False)
+
+    def _select(self, k: int, ones: bool) -> int:
+        # superblock b has sup[b] ones and 512*b - sup[b] zeros before it;
+        # find the last one with fewer than k before it
         sup = self._sup
-        nsup = len(sup) - 1  # number of superblocks (last entry is the total)
-        lo, hi = 0, nsup - 1
-        # zeros before superblock b: 512*b - sup[b+?]; sup[b] is ones before it
-        while lo < hi:
-            mid = (lo + hi + 1) >> 1
-            zeros_before = mid * _SUPER_WORDS * _WORD - sup[mid]
-            if zeros_before <= k - 1:
-                lo = mid
-            else:
-                hi = mid - 1
-        b = lo
-        rem = k - (b * _SUPER_WORDS * _WORD - sup[b])
+        before = sup.__getitem__ if ones else (lambda b: b * _SUPER_BITS - sup[b])
+        b = bisect_left(range(len(sup) - 1), k, key=before) - 1
+        rem = k - before(b)
+        words = self.words
         wi = b * _SUPER_WORDS
         while True:
-            width = self._word_width(wi)
-            z = width - self.words[wi].bit_count()
-            if rem <= z:
-                break
-            rem -= z
+            # the last word's padding reads as zeros, but the k-th zero
+            # comes before it
+            w = words[wi] if ones else ~words[wi] & _FULL
+            c = w.bit_count()
+            if rem <= c:
+                return wi * _WORD + self._select_in_word(w, rem) + 1
+            rem -= c
             wi += 1
-        comp = ~self.words[wi] & ((1 << self._word_width(wi)) - 1)
-        return wi * _WORD + self._select_in_word(comp, rem) + 1
 
     def _word_width(self, wi: int) -> int:
         if wi == len(self.words) - 1:
-            r = self.nbits - wi * _WORD
-            return r
+            return self.nbits - wi * _WORD
         return _WORD
 
     @staticmethod
@@ -254,10 +241,10 @@ class ParenSequence:
         bits = self.bits
         if bits.bit(i) != 1:
             raise ValueError(f"bit {i} is not an opening parenthesis")
-        target = self.excess(i) - 1
+        e = self.excess(i)
+        target = e - 1
         # scan the remainder of i's word
         wi = (i - 1) >> 6
-        e = self.excess(i)
         pos = self._scan_word(wi, i - wi * _WORD, e, target)
         if pos is not None:
             return pos
@@ -345,7 +332,7 @@ def parens_from_heap(heap) -> ParenSequence:
     if not heap.finalized:
         raise ValueError("heap must be finalized")
     pre = heap._preorder()[0]
-    depth = heap._materialize()[2]
+    depth = heap._depths()
     open_of = array("i", [2 * p - d + 1 for p, d in zip(pre, depth)])
     bits = bytearray(2 * len(open_of))
     for o in open_of:

@@ -16,15 +16,17 @@ reference in tests and ``posheap verify``.
 
 Positions are 1-based everywhere in the public API.  Letters are bytes
 (ints 0..255).  Node ids are dense ints with 0 reserved for the root;
-nodes are created in increasing primary-position order, so the primary
-position of a non-root node equals its id.  That coincidence is an
-implementation property of this module: callers should use
-``primary()`` rather than relying on it.
+nodes are created in increasing primary-position order, so a non-root
+node's id is its primary position.  This is an invariant that callers
+rely on (``augmented``, ``search``, ``recover_text``, ``index_dot``).
 
-The builder records each node's parent at creation (``_parent``, kept in
-step with ``_suffix``); since the parent is created first, parent(w) < w.
-Node w's path label is the prefix T[w..w+depth(w)-1] of its own suffix,
-so its in-letter is T[w+depth(w)-1] and needs no edge-table lookup.
+The builder records each node's parent at creation (``_parent``;
+parent(w) < w).  With the text it fixes the node's place in the tree,
+so nothing more is stored for that.  Node w's path label is
+T[w..w+depth(w)-1], a prefix of its own suffix, so its in-letter
+T[w+depth(w)-1] is read from the text.  The depths are one cached array
+(``_depths``) that construction never needs: a depth-3 node is the one
+whose great-grandparent is the root.
 
 Edges live in ``_deep``, one {parent: child} dict per letter.  As in
 Ukkonen's algorithm, the virtual bottom (node -1, the root's suffix link)
@@ -32,8 +34,9 @@ has an edge to the root on every letter, so each dict starts as
 ``{-1: 0}``.  Once the text reaches ``_FLAT_THRESHOLD`` the edges out of
 depth-2 parents move into ``l3``, a flat table keyed by the 3-byte path
 label of the child; each edge sits in exactly one table, so both sizes
-share one construction loop, one reach loop and one pattern walk, each
-with one two-way dispatch on the parent's depth.
+share one construction loop, one reach loop (``_reach``) and one pattern
+walk (``_walk``), each with one two-way dispatch on the parent's depth.
+No other module reads the edge tables.
 """
 
 from __future__ import annotations
@@ -113,9 +116,9 @@ class PositionHeap:
         self._deep = [{-1: 0} for _ in range(256)]
         self._flat = False
         self._l3 = None              # flat mode: children of depth-2 nodes, by 3-byte code
-        # lazily materialized parent/letter/depth and preorder arrays
-        self._mat = None
-        self._mat_nodes = -1
+        # lazily derived depth and preorder arrays
+        self._dep = None
+        self._dep_nodes = -1
         self._pre = None
         self._pre_nodes = -1
 
@@ -220,24 +223,28 @@ class PositionHeap:
 
     def _migrate_to_flat(self) -> None:
         self._l3 = self._level3()
-        parent, letter, depth = self._materialize()
         deep = self._deep
-        for w in range(1, len(parent)):
-            if depth[w] == 3:
-                del deep[letter[w]][parent[w]]
+        parent = self._parent
+        text = self._text
+        for w in self._depth3():
+            del deep[text[w + 1]][parent[w]]
         self._flat = True
 
-    def _level3(self) -> memoryview:
-        """l3 filled with every node of depth 3, keyed by its path label.
+    def _depth3(self):
+        """Ids of the depth-3 nodes, found by their parent chains."""
+        parent = self._parent
+        for w in range(1, len(parent)):
+            p = parent[w]
+            # the root's parent is -1, so a depth-2 w fails the test
+            if p and not parent[parent[p]]:
+                yield w
 
-        Node w's path label is T[w..w+2].
-        """
+    def _level3(self) -> memoryview:
+        """l3 filled with every depth-3 node w, keyed by its path label T[w..w+2]."""
         l3 = _zeroed_l3()
         text = self._text
-        depth = self._materialize()[2]
-        for w in range(1, len(depth)):
-            if depth[w] == 3:
-                l3[(text[w - 1] << 16) | (text[w] << 8) | text[w + 1]] = w
+        for w in self._depth3():
+            l3[(text[w - 1] << 16) | (text[w] << 8) | text[w + 1]] = w
         return l3
 
     def _step(self, c: int) -> None:
@@ -325,26 +332,21 @@ class PositionHeap:
     # ------------------------------------------------------------------
     # derived arrays and queries
 
-    def _materialize(self):
-        """(parent, letter, depth) arrays, cached per node count.
+    def _depths(self) -> array:
+        """Depth of every node, cached per node count.
 
-        One pass in id order: parents precede their children, and the
-        in-letter of w is T[w + depth(w) - 1].
+        One pass in id order, since parents precede their children.
         """
         n_nodes = len(self._suffix)
-        if self._mat_nodes == n_nodes:
-            return self._mat
+        if self._dep_nodes == n_nodes:
+            return self._dep
         parent = self._parent
-        text = self._text
-        letter = bytearray(n_nodes)
         depth = array("i", bytes(4 * n_nodes))
         for w in range(1, n_nodes):
-            d = depth[parent[w]] + 1
-            depth[w] = d
-            letter[w] = text[w + d - 2]
-        self._mat = (parent, letter, depth)
-        self._mat_nodes = n_nodes
-        return self._mat
+            depth[w] = depth[parent[w]] + 1
+        self._dep = depth
+        self._dep_nodes = n_nodes
+        return depth
 
     def _preorder(self):
         """(pre, last, by_pre) arrays, cached per node count.
@@ -387,8 +389,9 @@ class PositionHeap:
         if not 0 <= letter <= 255:
             raise ValueError(f"letter out of byte range: {letter!r}")
         parent = self._parent
-        if self._flat and v and parent[v] and not parent[parent[v]]:
-            # depth-2 v: its path label T[v..v+1] keys its row of l3
+        # v has depth 2 iff its grandparent is the root (whose parent is -1);
+        # then its path label T[v..v+1] keys its row of l3
+        if self._flat and v and not parent[parent[v]]:
             text = self._text
             return self._l3[(text[v - 1] << 16) | (text[v] << 8) | letter] or None
         return self._deep[letter].get(v)
@@ -419,6 +422,42 @@ class PositionHeap:
             i += 1
         return cur, i
 
+    def _reach(self) -> array:
+        """Per position i (index 0 unused), the node of the longest
+        represented prefix of T[i..n].
+
+        One read head that never moves back: extend the match while an edge
+        exists, record the node, follow its suffix link; O(n) in all.  The
+        depth kept tells whether the next edge is in ``l3`` or ``_deep``.
+        """
+        data = self.text_bytes()
+        n = len(data)
+        suffix = self._suffix
+        mrp = array("i", bytes(4 * (n + 1)))
+        cur = 0
+        rh = 1  # read head, 1-based; never reset
+        # every edge sits in one table: l3 for parents of depth d3
+        d3 = 2 if self._flat else -2
+        l3 = self._l3
+        deep = self._deep
+        dep = 0
+        for i in range(1, n + 1):
+            while rh <= n:
+                c = data[rh - 1]
+                if dep != d3:
+                    nxt = deep[c].get(cur)
+                else:
+                    nxt = l3[(data[rh - 3] << 16) | (data[rh - 2] << 8) | c]
+                if not nxt:
+                    break
+                cur = nxt
+                dep += 1
+                rh += 1
+            mrp[i] = cur
+            cur = suffix[cur]
+            dep -= 1
+        return mrp
+
     def children_of(self, v: int) -> list[tuple[int, int]]:
         """(letter, child) pairs of v in increasing letter order."""
         self._check_node(v)
@@ -427,10 +466,12 @@ class PositionHeap:
 
     def children_lists(self) -> list[list[tuple[int, int]]]:
         """Letter-sorted adjacency for all nodes; built per call."""
-        parent, letter, _ = self._materialize()
+        parent = self._parent
+        depth = self._depths()
+        text = self._text
         kids: list[list[tuple[int, int]]] = [[] for _ in range(len(parent))]
         for w in range(1, len(parent)):
-            kids[parent[w]].append((letter[w], w))
+            kids[parent[w]].append((text[w + depth[w] - 2], w))
         for lst in kids:
             if len(lst) > 1:
                 lst.sort()
@@ -446,7 +487,7 @@ class PositionHeap:
         self._check_node(v)
         if v == 0:
             return None
-        return self._materialize()[1][v]
+        return self._text[v + self._depths()[v] - 2]
 
     def suffix_link(self, v: int) -> int | None:
         """f(v); None for the root, whose link goes to the virtual bottom."""
@@ -457,11 +498,10 @@ class PositionHeap:
 
     def depth(self, v: int) -> int:
         self._check_node(v)
-        return self._materialize()[2][v]
+        return self._depths()[v]
 
     def tree_depth(self) -> int:
-        depth = self._materialize()[2]
-        return max(depth) if len(depth) else 0
+        return max(self._depths())
 
     def primary(self, v: int) -> int | None:
         """Primary position stored at v (None for the root)."""
@@ -473,15 +513,17 @@ class PositionHeap:
         return self._secondary.get(v)
 
     def path_label(self, v: int) -> bytes:
-        """Concatenated edge letters from the root down to v."""
+        """Edge letters from the root down to v, by a walk up the parent
+        chain; its node u at depth d has in-letter T[u+d-1]."""
         self._check_node(v)
-        parent, letter, _ = self._materialize()
-        out = bytearray()
+        parent = self._parent
+        chain = []
         while v != 0:
-            out.append(letter[v])
+            chain.append(v)
             v = parent[v]
-        out.reverse()
-        return bytes(out)
+        chain.reverse()
+        text = self._text
+        return bytes(text[u + d - 2] for d, u in enumerate(chain, 1))
 
     def node(self, v: int) -> NodeView:
         self._check_node(v)
@@ -624,8 +666,9 @@ def h_oracle(text) -> int:
 
 def is_ancestor_walk(heap: PositionHeap, u: int, v: int) -> bool:
     """Parent-chain ancestor-or-self test; the slow reference."""
-    parent, _, depth = heap._materialize()
-    while depth[v] > depth[u]:
+    # ancestors have smaller ids: parent(w) < w
+    parent = heap._parent
+    while v > u:
         v = parent[v]
     return u == v
 
@@ -639,7 +682,7 @@ def recover_text(heap: PositionHeap) -> bytes:
     """
     if not heap.finalized:
         raise ValueError("heap must be finalized to recover the text")
-    parent = heap._materialize()[0]
+    parent = heap._parent
     n_nodes = heap.node_count()
     # first letters come from the root's edges, not from the stored text
     first = bytearray(n_nodes)
@@ -659,12 +702,12 @@ def recover_text(heap: PositionHeap) -> bytes:
 def structurally_equal(a: PositionHeap, b: PositionHeap) -> str | None:
     """Compare two heaps node by node; returns a diff string or None.
 
-    Both heaps derive parent and letter arrays from what they recorded at
-    creation, so each node is also looked up through both heaps' edge
-    tables, which are what queries walk.  Suffix links are deliberately
-    excluded: the oracle assigns them by definition, the on-line builder
-    by chaining, and their soundness is checked against path labels
-    elsewhere.
+    Both heaps derive each node's in-letter from the text and the parent
+    array they recorded at creation, so each node is also looked up
+    through both heaps' edge tables, which are what queries walk.
+    Suffix links are deliberately excluded: the oracle assigns them by
+    definition, the on-line builder by chaining, and their soundness is
+    checked against path labels elsewhere.
     """
     if a.text_bytes() != b.text_bytes():
         return "texts differ"
@@ -674,15 +717,16 @@ def structurally_equal(a: PositionHeap, b: PositionHeap) -> str | None:
         return f"active positions differ: {a.active_position} vs {b.active_position}"
     if a.finalized and b.finalized and a._active != b._active:
         return f"active nodes differ: {a._active} vs {b._active}"
-    pa, la, _ = a._materialize()
-    pb, lb, _ = b._materialize()
+    pa, pb = a._parent, b._parent
+    # while the parents agree up to v, so do the depths and in-letters
+    depth = a._depths()
+    text = a._text
     for v in range(1, a.node_count()):
         if pa[v] != pb[v]:
             return f"node {v}: parents differ ({pa[v]} vs {pb[v]})"
-        if la[v] != lb[v]:
-            return f"node {v}: letters differ ({la[v]} vs {lb[v]})"
-        if a.child(pa[v], la[v]) != v or b.child(pa[v], la[v]) != v:
-            return f"node {v}: edge ({pa[v]}, {la[v]}) does not lead to it"
+        c = text[v + depth[v] - 2]
+        if a.child(pa[v], c) != v or b.child(pa[v], c) != v:
+            return f"node {v}: edge ({pa[v]}, {c}) does not lead to it"
     if a._secondary != b._secondary:
         return f"secondary maps differ: {sorted(a._secondary.items())} vs {sorted(b._secondary.items())}"
     return None

@@ -41,10 +41,6 @@ class SegmentDecomposition:
     segments: list[tuple[int, int]]  # (node, length) per segment
     complete: bool                   # False: some letter absent from the text
 
-    @property
-    def first_len(self) -> int:
-        return self.segments[0][1] if self.segments else 0
-
 
 @dataclass
 class SearchStats:

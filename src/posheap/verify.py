@@ -161,6 +161,18 @@ def check_mrp(alphabet: bytes = b"ab", max_len: int = 12) -> tuple[int, str | No
     return cases, None
 
 
+def _search_failure(a, s: bytes, p: bytes) -> str | None:
+    """find_all vs the sliding-window oracle on one pattern, and the bound
+    on a pattern's occurrences by the length of its first segment."""
+    got = find_all(a, p)
+    if got != find_all_naive(s, p):
+        return "search mismatch"
+    d = decompose(a, p)
+    if d.complete and len(d.segments) >= 2 and len(got) > d.segments[0][1]:
+        return "occurrence bound"
+    return None
+
+
 def check_search_exhaustive(text_alphabet: bytes = b"ab", text_max: int = 11,
                             pattern_alphabet: bytes = b"ab", pattern_max: int = 6
                             ) -> tuple[int, str | None]:
@@ -171,13 +183,9 @@ def check_search_exhaustive(text_alphabet: bytes = b"ab", text_max: int = 11,
     for s in all_strings(text_alphabet, text_max):
         a = augment(index(s))
         for p in patterns:
-            got = find_all(a, p)
-            want = find_all_naive(s, p)
-            if got != want:
-                return cases, f"search mismatch: text={s!r} pattern={p!r}"
-            d = decompose(a, p)
-            if d.complete and len(d.segments) >= 2 and len(got) > d.segments[0][1]:
-                return cases, f"occurrence bound: text={s!r} pattern={p!r}"
+            failure = _search_failure(a, s, p)
+            if failure:
+                return cases, f"{failure}: text={s!r} pattern={p!r}"
             cases += 1
     return cases, None
 
@@ -202,13 +210,9 @@ def check_search_random(n: int = 10_000, pairs: int = 10_000,
                 p = s[start:start + m] or s[:1]
             else:
                 p = bytes(rng.choice(alphabet) for _ in range(m))
-            got = find_all(a, p)
-            want = find_all_naive(s, p)
-            if got != want:
-                return cases, f"random search mismatch: seed={seed} pattern={p!r}"
-            d = decompose(a, p)
-            if d.complete and len(d.segments) >= 2 and len(got) > d.segments[0][1]:
-                return cases, f"random occurrence bound: seed={seed} pattern={p!r}"
+            failure = _search_failure(a, s, p)
+            if failure:
+                return cases, f"random {failure}: seed={seed} pattern={p!r}"
             cases += 1
     return cases, None
 
@@ -218,19 +222,18 @@ def _ancestor_tables(h, a):
     n_nodes = h.node_count()
     parens = a.parens
     close_of = array("i", (parens.find_close(parens.open_of[v]) for v in range(n_nodes)))
-    open_of = parens.open_of
-    parent, _, depth = h._materialize()
-    return a.pre, a.last, open_of, close_of, parent, depth
+    return a.pre, a.last, parens.open_of, close_of, h._parent
 
 
-def _ancestor_triple_check(u, v, pre, last, open_of, close_of, parent, depth):
+def _ancestor_triple_check(u, v, pre, last, open_of, close_of, parent) -> bool:
+    """True iff intervals, parentheses and the parent walk agree on (u, v)."""
     by_interval = pre[u] <= pre[v] <= last[u]
     by_parens = open_of[u] <= open_of[v] and close_of[v] <= close_of[u]
+    # ancestors have smaller ids: parent(w) < w
     w = v
-    while depth[w] > depth[u]:
+    while w > u:
         w = parent[w]
-    by_walk = w == u
-    return by_interval == by_parens == by_walk, by_interval
+    return by_interval == by_parens == (w == u)
 
 
 def check_ancestors_exhaustive(alphabet: bytes = b"ab", max_len: int = 12
@@ -244,8 +247,7 @@ def check_ancestors_exhaustive(alphabet: bytes = b"ab", max_len: int = 12
         n_nodes = h.node_count()
         for u in range(n_nodes):
             for v in range(n_nodes):
-                ok, _ = _ancestor_triple_check(u, v, *tables)
-                if not ok:
+                if not _ancestor_triple_check(u, v, *tables):
                     return cases, f"ancestor methods disagree on {s!r}: ({u},{v})"
                 cases += 1
     return cases, None
@@ -260,17 +262,12 @@ def check_ancestors_random(n: int = 10_000, heaps: int = 100,
         s = rng.randbytes(n)
         h = index(s)
         a = augment(h)
-        pre, last, open_of, close_of, parent, depth = _ancestor_tables(h, a)
+        tables = _ancestor_tables(h, a)
         n_nodes = h.node_count()
         for _ in range(pairs_per_heap):
             u = rng.randrange(n_nodes)
             v = rng.randrange(n_nodes)
-            by_interval = pre[u] <= pre[v] <= last[u]
-            by_parens = open_of[u] <= open_of[v] and close_of[v] <= close_of[u]
-            w = v
-            while depth[w] > depth[u]:
-                w = parent[w]
-            if by_interval != by_parens or by_interval != (w == u):
+            if not _ancestor_triple_check(u, v, *tables):
                 return cases, f"ancestor methods disagree: seed={seed} heap={t} pair=({u},{v})"
             cases += 1
     return cases, None

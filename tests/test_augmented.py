@@ -34,6 +34,48 @@ def test_augment_rejects_uncovered_position():
         augment(h)
 
 
+@pytest.mark.parametrize("kind", ["duplicated", "primary", "past-end", "zero"])
+def test_augment_rejects_misplaced_secondary(kind):
+    # one of REF_TEXT's two secondaries moved onto a position that is
+    # already stored or that no secondary may hold
+    h = index(REF_TEXT)
+    (_, first), (v, _) = sorted(h._secondary.items())
+    h._secondary[v] = {
+        "duplicated": first,
+        "primary": h.node_count() - 1,  # would index the h-entry array at -1
+        "past-end": len(REF_TEXT) + 1,
+        "zero": 0,
+    }[kind]
+    with pytest.raises(AssertionError, match="out of range or stored twice"):
+        augment(h)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"a" * 32768, b"abc" * 10923, fibonacci_word(20000),
+     random.Random(3).randbytes(5000)],
+    ids=["unary", "periodic", "fibonacci", "random"],
+)
+@pytest.mark.parametrize("flat_threshold", [1 << 18, 4], ids=["small", "flat"])
+def test_node_of_matches_stored_positions(text, flat_threshold, monkeypatch):
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", flat_threshold)
+    h = hp.index(text)
+    assert h._flat == (len(text) >= flat_threshold)
+    owner = {}
+    for v in range(1, h.node_count()):
+        for pos in (h.primary(v), h.secondary(v)):
+            if pos is not None:
+                assert pos not in owner
+                owner[pos] = v
+    assert sorted(owner) == list(range(1, len(text) + 1))
+    a = augment(h)
+    assert [a.node_of(i) for i in range(1, len(text) + 1)] == [
+        owner[i] for i in range(1, len(text) + 1)
+    ]
+
+
 def test_node_of_reference(ref_heap, node_by_label):
     a = augment(ref_heap)
     assert a.node_of(12) == node_by_label[b"ab"]

@@ -317,7 +317,7 @@ def _assert_edges_in_one_table(h):
         assert deep == h.node_count() - 1
         return
     assert _l3_entries(h._l3) + deep == h.node_count() - 1
-    depth = h._materialize()[2]
+    depth = h._depths()
     assert all(depth[v] != 2 for d in h._deep for v in d if v >= 0)
 
 
@@ -430,9 +430,21 @@ def test_children_sorted_by_letter(monkeypatch):
         assert [h.children_of(v) for v in range(h.node_count())] == h.children_lists()
 
 
+def _no_depths():
+    raise AssertionError("_depths called")
+
+
+def _assert_edges_match(h, ref):
+    # children_of reads the edge tables only, never derived arrays
+    assert h.node_count() == ref.node_count()
+    for v in range(ref.node_count()):
+        assert h.children_of(v) == ref.children_of(v), v
+
+
 def test_flat_child_between_appends_reads_no_derived_arrays(monkeypatch):
-    # child() on a growing flat heap must not rebuild the O(n)
-    # parent/letter/depth arrays after every append
+    # child() on a growing flat heap must not rebuild the O(n) depth
+    # array after every append, and neither the migration to flat mode
+    # nor copy() may derive it
     import posheap.heap as hp
 
     monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 4)
@@ -442,18 +454,29 @@ def test_flat_child_between_appends_reads_no_derived_arrays(monkeypatch):
     for c in s[:4]:
         h.append(c)
     assert h._flat
-
-    def no_materialize():
-        raise AssertionError("_materialize called")
-
-    monkeypatch.setattr(h, "_materialize", no_materialize)
+    monkeypatch.setattr(h, "_depths", _no_depths)
     for k in range(5, len(s) + 1):
         h.append(s[k - 1])
         ref = oracle_build(s[:k])
-        assert h.node_count() == ref.node_count()
+        _assert_edges_match(h, ref)
         for v in range(ref.node_count()):
-            assert h.children_of(v) == ref.children_of(v), (k, v)
             assert h.child(v, s[k - 1]) == ref.child(v, s[k - 1]), (k, v)
+
+    # a byte-by-byte stream across the threshold, then a copy of it
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 10)
+    s = REF_TEXT + bytes(rng.choice(b"abcd") for _ in range(30))
+    h = hp.PositionHeap()
+    monkeypatch.setattr(h, "_depths", _no_depths)
+    for c in s:
+        h.append(c)
+    assert h._flat
+    _assert_edges_match(h, oracle_build(s))
+    snap = h.copy()
+    monkeypatch.setattr(snap, "_depths", _no_depths)
+    assert snap._flat
+    _assert_edges_match(snap, oracle_build(s))
+    snap.extend(b"dcba")
+    _assert_edges_match(snap, oracle_build(s + b"dcba"))
 
 
 def test_to_bytes_coercion():
