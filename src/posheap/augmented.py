@@ -2,14 +2,15 @@
 
 On top of a finalized heap this adds, in one linear pass each:
 
-* a preorder range [pre, last] per node (``PositionHeap._preorder``,
-  two passes over the parent array; children in id order, which
-  containment does not care about), giving O(1) ancestor tests by
-  interval containment and subtrees as slices of ``by_pre``.  Since a
-  primary position is its node's id, a slice of ``by_pre`` is also the
-  list of the primary positions stored in that subtree.  The
-  balanced-parenthesis encoding of the same preorder (``parens``), an
-  alternative ancestor structure, is built on first use;
+* a preorder number and subtree size per node
+  (``PositionHeap._preorder``, two passes over the parent array;
+  children in id order, which containment does not care about), giving
+  O(1) ancestor tests by containment in [pre, pre + size) and subtrees
+  as slices of ``by_pre``.  Since a primary position is its node's id,
+  a slice of ``by_pre`` is also the list of the primary positions
+  stored in that subtree.  The balanced-parenthesis encoding of the
+  same preorder (``parens``), an alternative ancestor structure, is
+  built on first use;
 * the h secondary positions node_count()..n: their nodes in one h-entry
   array (``sec_node``), filled in the pass that checks each is stored
   once and orders them by their node's preorder number (``sec_pre``,
@@ -47,7 +48,7 @@ class AugmentedHeap:
             raise ValueError("augment requires a finalized heap")
         self.heap = heap
         self.n = heap.n
-        self.pre, self.last, self._by_pre = heap._preorder()
+        self.pre, self.size, self._by_pre = heap._preorder()
         self._index_secondaries()
         self._mrp = heap._reach()
 
@@ -104,12 +105,14 @@ class AugmentedHeap:
         """Ancestor-or-self test by preorder range containment; O(1)."""
         self.heap._check_node(u)
         self.heap._check_node(v)
-        return self.pre[u] <= self.pre[v] <= self.last[u]
+        pu = self.pre[u]
+        return pu <= self.pre[v] < pu + self.size[u]
 
     def subtree_nodes(self, v: int):
         """All nodes in v's subtree (preorder slice; O(size))."""
         self.heap._check_node(v)
-        return self._by_pre[self.pre[v]:self.last[v] + 1]
+        pv = self.pre[v]
+        return self._by_pre[pv:pv + self.size[v]]
 
     def encode_mrp(self) -> "MrpBits":
         return MrpBits.from_depths(self.mrp_depths())

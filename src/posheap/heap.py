@@ -10,9 +10,11 @@ position and at most one secondary position ("double nodes").
 ``build`` runs the on-line left-to-right construction: it keeps an
 active node / active position cursor and per-node suffix links (the
 link from the node of a*w to the node of w), creating exactly one node
-per inner loop pass, which gives linear total work.  ``oracle_build``
-is the quadratic definitional construction used as an independent
-reference in tests and ``posheap verify``.
+per inner loop pass, which gives linear total work.  Its one-byte step
+is ``PositionHeap.append``, behind a single length test; ``extend`` runs
+the same loop over a chunk.  ``oracle_build`` is the quadratic
+definitional construction used as an independent reference in tests and
+``posheap verify``.
 
 Positions are 1-based everywhere in the public API.  Letters are bytes
 (ints 0..255).  Node ids are dense ints with 0 reserved for the root;
@@ -34,14 +36,16 @@ has an edge to the root on every letter, so each dict starts as
 ``{-1: 0}``.  Once the text reaches ``_FLAT_THRESHOLD`` the edges out of
 depth-2 parents move into ``l3``, a flat table keyed by the 3-byte path
 label of the child; each edge sits in exactly one table, so both sizes
-share one construction loop, one reach loop (``_reach``) and one pattern
-walk (``_walk``), each with one two-way dispatch on the parent's depth.
+share each construction loop (``append`` and ``_extend``), one reach loop
+(``_reach``) and one pattern walk (``_walk``), each with one two-way
+dispatch on the parent's depth.
 No other module reads the edge tables.
 """
 
 from __future__ import annotations
 
 import mmap
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -111,6 +115,9 @@ class PositionHeap:
         self._secondary = {}         # node -> secondary position, set by finalize
         self._active = 0
         self._finalized = False
+        # append's one guard: a text this long takes the slow path (-1 once
+        # finalized, _MAX_TEXT once flat)
+        self._bound = min(_FLAT_THRESHOLD - 1, _MAX_TEXT)
         # per-letter {parent: child}, seeded with the virtual bottom's edge
         # to the root; in flat mode no parent of depth 2
         self._deep = [{-1: 0} for _ in range(256)]
@@ -162,16 +169,64 @@ class PositionHeap:
     # construction
 
     def append(self, letter: int) -> None:
-        """Process one more letter of the text (on-line step)."""
+        """Process one more letter of the text: the on-line step.
+
+        A text at ``_bound`` takes ``_append_slow``; the text's own
+        ``bytearray.append`` checks the letter's range.
+        """
+        text = self._text
+        if len(text) >= self._bound:
+            self._append_slow(letter)
+            return
+        try:
+            text.append(letter)
+        except ValueError:
+            raise ValueError(f"letter out of byte range: {letter!r}") from None
+        suffix = self._suffix
+        parent = self._parent
+        # every probe of this step reads the same letter
+        dc = self._deep[letter]
+        d3 = 2 if self._flat else -2
+        cur = self._active
+        n_nodes = len(suffix)
+        first = n_nodes
+        # the active node's depth, k+1-s before the append (see _extend)
+        dep = len(text) - n_nodes
+        while True:
+            if dep != d3:
+                nxt = dc.setdefault(cur, n_nodes)
+                if nxt != n_nodes:
+                    break
+            else:
+                i3 = (text[-3] << 16) | (text[-2] << 8) | letter
+                nxt = self._l3[i3]
+                if nxt:
+                    break
+                self._l3[i3] = n_nodes
+            parent.append(cur)
+            n_nodes += 1
+            # links to the next node this step creates; the last one
+            # created links to nxt instead
+            suffix.append(n_nodes)
+            cur = suffix[cur]
+            dep -= 1
+        if n_nodes != first:
+            suffix[-1] = nxt
+        self._active = nxt
+
+    def _append_slow(self, letter: int) -> None:
+        """``append`` at or past ``_bound``: a finalized heap, a full text,
+        or the byte that takes a small heap to ``_FLAT_THRESHOLD``."""
         if self._finalized:
             raise ValueError("heap is finalized; cannot append")
-        if not 0 <= letter <= 255:
+        if not 0 <= operator.index(letter) <= 255:
             raise ValueError(f"letter out of byte range: {letter!r}")
         if len(self._text) >= _MAX_TEXT:
             raise ValueError("text too long for this index")
-        self._step(letter)
-        if not self._flat and len(self._text) >= _FLAT_THRESHOLD:
-            self._migrate_to_flat()
+        # lets this one byte through; the migration keeps the bound there
+        self._bound = _MAX_TEXT
+        self.append(letter)
+        self._migrate_to_flat()
 
     def extend(self, data) -> None:
         """Process a chunk of text; equivalent to appending each byte."""
@@ -204,9 +259,13 @@ class PositionHeap:
         if pos != len(self._text) + 1:
             raise AssertionError("suffix chain length disagrees with text length")
         self._finalized = True
+        self._bound = -1
 
     # ------------------------------------------------------------------
     # construction steps
+    #
+    # ``append`` above is the one-byte step; ``_extend`` runs the same loop
+    # over a chunk, with its per-call set-up paid once.
     #
     # Every edge lives in one table.  Below _FLAT_THRESHOLD all of them
     # sit in ``_deep``, one {parent: child} dict per letter, the virtual
@@ -229,6 +288,7 @@ class PositionHeap:
         for w in self._depth3():
             del deep[text[w + 1]][parent[w]]
         self._flat = True
+        self._bound = _MAX_TEXT
 
     def _depth3(self):
         """Ids of the depth-3 nodes, found by their parent chains."""
@@ -246,41 +306,6 @@ class PositionHeap:
         for w in self._depth3():
             l3[(text[w - 1] << 16) | (text[w] << 8) | text[w + 1]] = w
         return l3
-
-    def _step(self, c: int) -> None:
-        suffix = self._suffix
-        parent = self._parent
-        text = self._text
-        # every probe of this step reads the same letter
-        dc = self._deep[c]
-        d3 = 2 if self._flat else -2
-        cur = self._active
-        n_nodes = len(suffix)
-        dep = len(text) + 1 - n_nodes
-        text.append(c)
-        prev = -1
-        while True:
-            if dep != d3:
-                nxt = dc.setdefault(cur, n_nodes)
-                if nxt != n_nodes:
-                    break
-            else:
-                i3 = (text[-3] << 16) | (text[-2] << 8) | c
-                nxt = self._l3[i3]
-                if nxt:
-                    break
-                self._l3[i3] = n_nodes
-            suffix.append(0)
-            parent.append(cur)
-            if prev >= 0:
-                suffix[prev] = n_nodes
-            prev = n_nodes
-            n_nodes += 1
-            cur = suffix[cur]
-            dep -= 1
-        if prev >= 0:
-            suffix[prev] = nxt
-        self._active = nxt
 
     def _extend(self, data: bytes) -> None:
         suffix = self._suffix
@@ -349,10 +374,10 @@ class PositionHeap:
         return depth
 
     def _preorder(self):
-        """(pre, last, by_pre) arrays, cached per node count.
+        """(pre, size, by_pre) arrays, cached per node count.
 
-        Node v's subtree is the preorder range [pre[v], last[v]] and
-        by_pre[pre[v]] == v.  A reverse pass sums subtree sizes and a
+        Node v's subtree is the preorder range [pre[v], pre[v] + size[v])
+        and by_pre[pre[v]] == v.  A reverse pass sums subtree sizes and a
         forward pass hands each child the next free preorder slot of its
         parent (parents precede children), so no DFS is needed; siblings
         come in id order.
@@ -365,21 +390,17 @@ class PositionHeap:
         for w in range(n_nodes - 1, 0, -1):
             size[parent[w]] += size[w]
         pre = array("i", bytes(4 * n_nodes))
-        last = array("i", bytes(4 * n_nodes))
         by_pre = array("i", bytes(4 * n_nodes))
-        last[0] = n_nodes - 1
-        # size[v] becomes the next free preorder slot for v's children
-        size[0] = 1
+        # free[v]: the next free preorder slot for v's children
+        free = array("i", [1]) * n_nodes
         for w in range(1, n_nodes):
             p = parent[w]
-            slot = size[p]
-            sz = size[w]
+            slot = free[p]
             pre[w] = slot
-            last[w] = slot + sz - 1
             by_pre[slot] = w
-            size[p] = slot + sz
-            size[w] = slot + 1
-        self._pre = (pre, last, by_pre)
+            free[p] = slot + size[w]
+            free[w] = slot + 1
+        self._pre = (pre, size, by_pre)
         self._pre_nodes = n_nodes
         return self._pre
 
@@ -547,6 +568,7 @@ class PositionHeap:
         h._secondary = dict(self._secondary)
         h._active = self._active
         h._finalized = self._finalized
+        h._bound = self._bound
         h._deep = [dict(d) for d in self._deep]
         h._flat = self._flat
         if self._flat:
@@ -630,6 +652,7 @@ def oracle_build(text) -> PositionHeap:
         suffix[v] = cur
     h._active = active
     h._finalized = True
+    h._bound = -1
     return h
 
 

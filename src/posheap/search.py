@@ -9,8 +9,8 @@ report.
 With one segment, the pattern is a node u: every position stored in u's
 subtree matches, and a position i at a proper ancestor of u matches iff
 u is an ancestor-or-self of i's maximal-reach node.  The subtree is the
-preorder range [pre[u], last[u]], so its primary positions (a primary
-position is its node's id) are one slice of ``by_pre``, and its
+preorder range [pre[u], pre[u] + size[u]), so its primary positions (a
+primary position is its node's id) are one slice of ``by_pre``, and its
 secondary positions one slice of the secondaries sorted by preorder,
 found by two bisections; neither visits the subtree node by node.
 
@@ -27,7 +27,7 @@ then sorts the occurrences; ``count`` only measures them.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .augmented import AugmentedHeap
@@ -97,17 +97,18 @@ def _occurrences(aug: AugmentedHeap, pattern, stats: SearchStats | None) -> list
     heap = aug.heap
     mrp = aug._mrp
     pre = aug.pre
-    last = aug.last
+    size = aug.size
     n = aug.n
     secondary = heap._secondary
     parent = heap._parent
 
     if k == 1:
         u, length = segs[0]
-        pu, lu = pre[u], last[u]
-        out = aug._by_pre[pu:lu + 1].tolist()  # primary position == node id
+        pu = pre[u]
+        end = pu + size[u]
+        out = aug._by_pre[pu:end].tolist()  # primary position == node id
         sec_pre = aug._sec_pre
-        out += aug._sec_pos[bisect_left(sec_pre, pu):bisect_right(sec_pre, lu)]
+        out += aug._sec_pos[bisect_left(sec_pre, pu):bisect_left(sec_pre, end)]
         if stats is not None:
             stats.steps += len(out) + length
         # positions at proper ancestors match iff their reach passes u
@@ -116,7 +117,7 @@ def _occurrences(aug: AugmentedHeap, pattern, stats: SearchStats | None) -> list
             for q in (v, secondary.get(v)):
                 if q is not None:
                     w = mrp[q]
-                    if pu <= pre[w] <= lu:
+                    if pu <= pre[w] < end:
                         out.append(q)
             if stats is not None:
                 stats.steps += 1
@@ -133,7 +134,8 @@ def _occurrences(aug: AugmentedHeap, pattern, stats: SearchStats | None) -> list
         last_stage = j == k - 2
         if last_stage:
             uk = segs[k - 1][0]
-            puk, luk = pre[uk], last[uk]
+            puk = pre[uk]
+            endk = puk + size[uk]
         stage: set[int] = set()
         v = u
         while v > 0:
@@ -145,7 +147,7 @@ def _occurrences(aug: AugmentedHeap, pattern, stats: SearchStats | None) -> list
                     continue
                 if last_stage:
                     w = mrp[nq]
-                    if puk <= pre[w] <= luk:
+                    if puk <= pre[w] < endk:
                         stage.add(q)
                 elif nq in survivors:
                     stage.add(q)

@@ -222,12 +222,12 @@ def _ancestor_tables(h, a):
     n_nodes = h.node_count()
     parens = a.parens
     close_of = array("i", (parens.find_close(parens.open_of[v]) for v in range(n_nodes)))
-    return a.pre, a.last, parens.open_of, close_of, h._parent
+    return a.pre, a.size, parens.open_of, close_of, h._parent
 
 
-def _ancestor_triple_check(u, v, pre, last, open_of, close_of, parent) -> bool:
+def _ancestor_triple_check(u, v, pre, size, open_of, close_of, parent) -> bool:
     """True iff intervals, parentheses and the parent walk agree on (u, v)."""
-    by_interval = pre[u] <= pre[v] <= last[u]
+    by_interval = pre[u] <= pre[v] < pre[u] + size[u]
     by_parens = open_of[u] <= open_of[v] and close_of[v] <= close_of[u]
     # ancestors have smaller ids: parent(w) < w
     w = v

@@ -400,6 +400,102 @@ def test_letter_validation():
         h.child(5, 0)
 
 
+def _state(h):
+    return (bytes(h._text), list(h._suffix), list(h._parent), h._active,
+            dict(h._secondary), [dict(d) for d in h._deep], h._flat, h._finalized)
+
+
+def _streamed(hp, s):
+    h = hp.PositionHeap()
+    for c in s:
+        h.append(c)
+    return h
+
+
+def test_append_after_finalize_leaves_heap_unchanged(monkeypatch):
+    # every way of getting a finalized heap must shut append's fast path
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 10)
+    for s in (b"abc", REF_TEXT):
+        streamed = _streamed(hp, s)
+        streamed.finalize()
+        for h in (hp.index(s), streamed, hp.index(s).copy(), hp.oracle_build(s)):
+            assert h.finalized
+            before = _state(h)
+            for letter in (97, 300):
+                with pytest.raises(ValueError, match="finalized"):
+                    h.append(letter)
+            assert _state(h) == before
+
+
+@pytest.mark.parametrize("n", [0, 5, 9])
+def test_append_rejects_bad_letters_unchanged(monkeypatch, n):
+    # n == 9 sits one byte below the threshold, on the slow path
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 10)
+    s = REF_TEXT[:n]
+    h = _streamed(hp, s)
+    before = _state(h)
+    for letter in (300, -1, 256):
+        with pytest.raises(ValueError, match="out of byte range"):
+            h.append(letter)
+    for letter in (1.5, "a", None):
+        with pytest.raises(TypeError):
+            h.append(letter)
+    assert _state(h) == before
+    # the next good byte still takes the heap to flat mode at the threshold
+    for c in REF_TEXT[n:]:
+        h.append(c)
+    assert h._flat
+    h.finalize()
+    assert structurally_equal(h, oracle_build(REF_TEXT)) is None
+
+
+def test_append_past_max_text_unchanged(monkeypatch):
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 10)
+    monkeypatch.setattr(hp, "_MAX_TEXT", 6)
+    h = _streamed(hp, REF_TEXT[:6])
+    before = _state(h)
+    with pytest.raises(ValueError, match="too long"):
+        h.append(REF_TEXT[6])
+    with pytest.raises(ValueError, match="too long"):
+        h.extend(REF_TEXT[6:7])
+    assert _state(h) == before
+    assert not h._flat
+
+
+def test_append_reaches_flat_mode(monkeypatch):
+    # a bound frozen when the module was imported would keep these small
+    import posheap.heap as hp
+
+    monkeypatch.setattr(hp, "_FLAT_THRESHOLD", 10)
+    rng = random.Random(11)
+    for trial in range(10):
+        s = bytes(rng.choice(b"abc") for _ in range(rng.randint(10, 40)))
+        # byte by byte across the threshold
+        crossed = _streamed(hp, s)
+        # appends after an extend that migrated
+        cut = rng.randint(10, len(s))
+        migrated = hp.build(s[:cut])
+        assert migrated._flat
+        for c in s[cut:]:
+            migrated.append(c)
+        # appends to a copy taken one byte below the threshold
+        below = _streamed(hp, s[:9]).copy()
+        assert not below._flat
+        for c in s[9:]:
+            below.append(c)
+        for h in (crossed, migrated, below):
+            assert h._flat
+            h.finalize()
+            diff = structurally_equal(h, oracle_build(s))
+            assert diff is None, f"{s!r}: {diff}"
+
+
 def test_node_view(ref_heap, node_by_label):
     v = node_by_label[b"ab"]
     view = ref_heap.node(v)
