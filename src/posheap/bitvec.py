@@ -1,28 +1,38 @@
 """Plain bit vector with rank/select, and a balanced-parenthesis tree encoding.
 
 Bits are addressed 1-based so the maximal-reach decoding formula
-rank1(select0(i)) - i + 1 can be used verbatim.  Storage is a list of
-64-bit words, least significant bit first.  Rank uses two-level counts
-(superblocks of 512 bits, per-word counts inside) and is O(1); select
-binary-searches the superblock counts and finishes with a word scan and
-a byte table, O(log) worst case.
+rank1(select0(i)) - i + 1 can be used verbatim.  Storage is a native-order
+``array("Q")`` of 64-bit words, least significant bit first, packed from
+the input in one conversion (the bits as one base-2 integer); the last
+word is padded with zeros.  Rank uses two-level counts (superblocks of
+512 bits, per-word counts inside) and is O(1); select binary-searches the
+superblock counts and finishes with a word scan and a byte table, O(log)
+worst case.
 
 ParenSequence encodes a heap's tree shape in preorder: each node's open
 bit, then its subtree, then its close bit.
 Matching-close queries walk a per-word excess summary plus a range-min
 tree over words, O(log) worst case, which is enough for constant-time
-ancestor tests at desk scale.
+ancestor tests at desk scale.  Every word is read whole: the last word's
+zero padding reads as closes.  In a balanced sequence the excess after
+an open at depth d is d + 1 and falls to 0 at the last real bit, one step
+at a time, so the first position where it reaches d comes at or before
+that bit; a match in the padding only happens for unbalanced input, and
+``find_close`` rejects it.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left
+from itertools import accumulate
 
 _WORD = 64
 _SUPER_WORDS = 8          # 512 bits per superblock
 _SUPER_BITS = _SUPER_WORDS * _WORD
 _FULL = (1 << 64) - 1
+_TO01 = b"0" + b"1" * 255  # bytes.translate table: any nonzero byte is a 1
 
 # per-byte helpers, LSB-first bit order
 _POP = [b.bit_count() for b in range(256)]
@@ -43,7 +53,11 @@ _BYTE_MINPRE = [_byte_minpre(b) for b in range(256)]
 
 
 class BitVector:
-    """Immutable bit sequence with O(1) rank and O(log) select."""
+    """Immutable bit sequence with O(1) rank and O(log) select.
+
+    ``bits`` is a string of '0' and '1', or bytes or an iterable of ints
+    in 0..255, where any nonzero value is a one.
+    """
 
     __slots__ = ("nbits", "words", "n_ones", "_sup", "_blk")
 
@@ -51,44 +65,25 @@ class BitVector:
         if isinstance(bits, str):
             if bits.strip("01"):
                 raise ValueError(f"bit string may hold only '0' and '1': {bits!r}")
-            bits = [ch == "1" for ch in bits]
-        words = []
-        w = 0
-        off = 0
-        n = 0
-        for bit in bits:
-            if bit:
-                w |= 1 << off
-            off += 1
-            n += 1
-            if off == _WORD:
-                words.append(w)
-                w = 0
-                off = 0
-        if off:
-            words.append(w)
-        self.nbits = n
-        self.words = words
-        self._build_rank_index()
-
-    def _build_rank_index(self):
-        sup = [0]
-        blk = array("H", bytes(2 * len(self.words)))
-        ones = 0
-        within = 0
-        for i, w in enumerate(self.words):
-            if i % _SUPER_WORDS == 0:
-                if i:
-                    sup.append(ones)
-                within = 0
-            blk[i] = within
-            c = w.bit_count()
-            within += c
-            ones += c
-        sup.append(ones)  # sentinel: total ones
-        self._sup = sup
-        self._blk = blk
-        self.n_ones = ones
+            raw = bits.encode("ascii")
+        else:
+            # bytes() would copy any other buffer (array("i"), say) as raw
+            # bytes, not one byte per value, so everything else is iterated
+            raw = bytes(bits if isinstance(bits, (bytes, bytearray)) else iter(bits))
+            raw = raw.translate(_TO01)
+        self.nbits = len(raw)
+        # bit 1 is the integer's least significant bit; its little-endian
+        # bytes are the words in order, each swapped on a big-endian host
+        packed = int(raw[::-1] or b"0", 2).to_bytes(8 * ((len(raw) + 63) >> 6), "little")
+        self.words = words = array("Q", packed)
+        if sys.byteorder == "big":
+            words.byteswap()
+        # ones before each word; rank index: ones before each superblock
+        # (plus a total sentinel) and before each word within its superblock
+        cum = list(accumulate((w.bit_count() for w in words), initial=0))
+        self._sup = cum[:-1:_SUPER_WORDS] + [cum[-1]]
+        self._blk = array("H", [c - cum[i - i % _SUPER_WORDS] for i, c in enumerate(cum[:-1])])
+        self.n_ones = cum[-1]
 
     # ------------------------------------------------------------------
 
@@ -106,7 +101,7 @@ class BitVector:
         return self.words[(i - 1) >> 6] >> ((i - 1) & 63) & 1
 
     def to01(self) -> str:
-        return "".join(str(self.bit(i)) for i in range(1, self.nbits + 1))
+        return "".join(format(w, "064b")[::-1] for w in self.words)[:self.nbits]
 
     def rank1(self, i: int) -> int:
         """Number of ones among bits 1..i; rank1(0) = 0."""
@@ -145,18 +140,13 @@ class BitVector:
         wi = b * _SUPER_WORDS
         while True:
             # the last word's padding reads as zeros, but the k-th zero
-            # comes before it
+            # (k <= n_zeros) comes before it
             w = words[wi] if ones else ~words[wi] & _FULL
             c = w.bit_count()
             if rem <= c:
                 return wi * _WORD + self._select_in_word(w, rem) + 1
             rem -= c
             wi += 1
-
-    def _word_width(self, wi: int) -> int:
-        if wi == len(self.words) - 1:
-            return self.nbits - wi * _WORD
-        return _WORD
 
     @staticmethod
     def _select_in_word(w: int, k: int) -> int:
@@ -180,7 +170,7 @@ class ParenSequence:
     ``open_of`` maps node ids to their opening bit position.
     """
 
-    __slots__ = ("bits", "open_of", "_wdelta", "_wmin", "_P", "_tmin", "_tdelta")
+    __slots__ = ("bits", "open_of", "_P", "_tmin", "_tdelta")
 
     def __init__(self, bits: BitVector, open_of):
         self.bits = bits
@@ -188,39 +178,22 @@ class ParenSequence:
         self._build_excess_index()
 
     def _build_excess_index(self):
-        bits = self.bits
-        nw = len(bits.words)
-        wdelta = array("i", bytes(4 * max(nw, 1)))
-        wmin = array("i", bytes(4 * max(nw, 1)))
-        for i, w in enumerate(bits.words):
-            width = bits._word_width(i)
-            e = m = 0
-            off = 0
-            while off < width:
-                b = w >> off & 0xFF
-                if off + 8 <= width:
-                    m = min(m, e + _BYTE_MINPRE[b])
-                    e += _BYTE_DELTA[b]
-                else:
-                    for j in range(width - off):
-                        e += 1 if b >> j & 1 else -1
-                        if e < m:
-                            m = e
-                off += 8
-            wdelta[i] = e
-            wmin[i] = m
-        self._wdelta = wdelta
-        self._wmin = wmin
-        # range tree over words: per segment, total delta and min prefix excess
+        # range tree over words: per segment, total delta and min prefix
+        # excess; leaves are whole words, the padding read as closes
+        words = self.bits.words
         P = 1
-        while P < max(nw, 1):
+        while P < len(words):
             P <<= 1
-        INF = 1 << 30
-        tmin = [INF] * (2 * P)
+        tmin = [1 << 30] * (2 * P)
         tdelta = [0] * (2 * P)
-        for i in range(nw):
-            tmin[P + i] = wmin[i]
-            tdelta[P + i] = wdelta[i]
+        for leaf, w in enumerate(words, P):
+            e = m = 0
+            for b in w.to_bytes(8, "little"):
+                if e + _BYTE_MINPRE[b] < m:
+                    m = e + _BYTE_MINPRE[b]
+                e += _BYTE_DELTA[b]
+            tmin[leaf] = m
+            tdelta[leaf] = e
         for v in range(P - 1, 0, -1):
             l, r = 2 * v, 2 * v + 1
             tdelta[v] = tdelta[l] + tdelta[r]
@@ -246,31 +219,27 @@ class ParenSequence:
         # scan the remainder of i's word
         wi = (i - 1) >> 6
         pos = self._scan_word(wi, i - wi * _WORD, e, target)
-        if pos is not None:
-            return pos
-        # excess at the end of word wi
-        e = self.excess(min((wi + 1) * _WORD, bits.nbits))
-        w = self._next_word_reaching(wi, e, target)
-        if w is None:
-            raise ValueError(f"no matching close for open at {i}: sequence unbalanced")
-        wj, e = w
-        pos = self._scan_word(wj, 0, e, target)
         if pos is None:
-            raise ValueError("excess summary inconsistent with word scan")
+            # excess at the end of word wi, its padding read as closes
+            end = (wi + 1) * _WORD
+            e = 2 * bits.rank1(min(end, bits.nbits)) - end
+            hit = self._next_word_reaching(wi, e, target)
+            if hit is not None:
+                pos = self._scan_word(hit[0], 0, hit[1], target)
+                if pos is None:
+                    raise ValueError("excess summary inconsistent with word scan")
+        if pos is None or pos > bits.nbits:
+            raise ValueError(f"no matching close for open at {i}: sequence unbalanced")
         return pos
 
     def _scan_word(self, wi: int, off: int, e: int, target: int):
         """First position after bit offset ``off`` of word wi (0 = start of
         word) where the running excess e hits target; byte-accelerated."""
-        bits = self.bits
-        width = bits._word_width(wi)
-        if off >= width:
-            return None
-        w = bits.words[wi] >> off
+        w = self.bits.words[wi] >> off
         j = off
-        while j < width:
+        while j < _WORD:
             b = w & 0xFF
-            span = min(8, width - j)
+            span = min(8, _WORD - j)
             if span == 8 and e + _BYTE_MINPRE[b] > target:
                 e += _BYTE_DELTA[b]
                 w >>= 8

@@ -34,11 +34,6 @@ class IndexFileError(ValueError):
     """Malformed, corrupted, or wrong-version index file."""
 
 
-def save_index(aug: AugmentedHeap, fp) -> None:
-    """Write the canonical JSON form of an augmented heap."""
-    fp.write(index_json(aug))
-
-
 def index_json(aug: AugmentedHeap) -> str:
     data = aug.heap.text_bytes()
     doc = {

@@ -1,7 +1,7 @@
 """The public surface, pinned: a change to it has to be made on purpose."""
 
 import posheap
-from posheap import AugmentedHeap, PositionHeap
+from posheap import AugmentedHeap, BitVector, MrpBits, ParenSequence, PositionHeap
 
 
 def _public(cls):
@@ -76,4 +76,39 @@ def test_augmented_heap_methods():
         "node_of",
         "parens",
         "subtree_nodes",
+    ]
+
+
+def test_bit_vector_members():
+    assert _public(BitVector) == [
+        "bit",
+        "n_ones",
+        "n_zeros",
+        "nbits",
+        "rank0",
+        "rank1",
+        "select0",
+        "select1",
+        "to01",
+        "words",
+    ]
+
+
+def test_paren_sequence_members():
+    assert _public(ParenSequence) == [
+        "bits",
+        "excess",
+        "find_close",
+        "is_ancestor",
+        "open_of",
+    ]
+
+
+def test_mrp_bits_members():
+    assert _public(MrpBits) == [
+        "bits",
+        "from_depths",
+        "from_values",
+        "mrp_depth",
+        "n",
     ]

@@ -1,10 +1,11 @@
 import random
+from array import array
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from posheap import BitVector, index, is_ancestor_walk, parens_from_heap
+from posheap import BitVector, ParenSequence, index, is_ancestor_walk, parens_from_heap
 
 bitlists = st.lists(st.integers(0, 1), max_size=600)
 
@@ -39,6 +40,9 @@ def find_close_naive(bits01, i):
 def test_known_vector_rank_select():
     b = BitVector("10110011100100")
     assert b.to01() == "10110011100100"
+    values = [1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 0]
+    for bits in (values, bytes(values), array("i", values), (2 * v for v in values)):
+        assert BitVector(bits).words == b.words
     assert b.rank1(7) == 4
     assert b.rank1(0) == 0
     assert b.rank1(14) + b.rank0(14) == 14
@@ -86,9 +90,18 @@ def test_rank_matches_naive(bits):
         assert b.rank0(i) == rank_naive(bits, 0, i)
 
 
+# word-boundary lengths: empty, a part word, one full word, one bit past
+# it, two full words
 @given(bitlists)
+@example([])
+@example([1, 0, 0] * 21)
+@example([0] * 63 + [1])
+@example([1] * 65)
+@example([0] * 64 + [1])
+@example([0, 1] * 64)
 def test_select_matches_naive(bits):
     b = BitVector(bits)
+    assert b.to01() == "".join(map(str, bits))
     for k in range(1, b.n_ones + 1):
         assert b.select1(k) == select_naive(bits, 1, k)
     for k in range(1, b.n_zeros + 1):
@@ -209,6 +222,20 @@ def test_find_close_deep_tree_sampled():
         assert p.find_close(o) == find_close_naive(bits01, o)
 
 
+@pytest.mark.parametrize(
+    "bits01",
+    ["1", "110", "1" * 64, "1" * 65, "1" + "10" * 40],
+    ids=["one-bit", "in-word", "full-word", "word-plus-one", "two-words"],
+)
+def test_find_close_rejects_unbalanced(bits01):
+    # the excess after bit 1 never falls back to 0 among the real bits;
+    # read on into the zero padding, it reaches 0 inside the first word,
+    # never (no padding, or too little), or inside the second word
+    p = ParenSequence(BitVector(bits01), [1])
+    with pytest.raises(ValueError, match="unbalanced"):
+        p.find_close(1)
+
+
 def _random_tree_bits(rng, budget):
     # preorder random tree: open, children recursively, close
     out = [1]
@@ -220,8 +247,6 @@ def _random_tree_bits(rng, budget):
 
 
 def test_find_close_random_trees():
-    from posheap.bitvec import BitVector, ParenSequence
-
     rng = random.Random(6)
     for trial in range(300):
         budget = [rng.randint(1, 160)]
