@@ -2,7 +2,6 @@
 
 from .heap import (
     PositionHeap,
-    NodeView,
     build,
     index,
     oracle_build,
@@ -27,7 +26,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PositionHeap",
-    "NodeView",
     "build",
     "index",
     "oracle_build",

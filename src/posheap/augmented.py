@@ -8,9 +8,9 @@ On top of a finalized heap this adds, in one linear pass each:
   O(1) ancestor tests by containment in [pre, pre + size) and subtrees
   as slices of ``by_pre``.  Since a primary position is its node's id,
   a slice of ``by_pre`` is also the list of the primary positions
-  stored in that subtree.  The balanced-parenthesis encoding of the
-  same preorder (``parens``), an alternative ancestor structure, is
-  built on first use;
+  stored in that subtree.  ``bitvec.parens_from_heap`` encodes the
+  same preorder as balanced parentheses, an alternative ancestor
+  structure that callers build themselves;
 * the h secondary positions node_count()..n: their nodes in one h-entry
   array (``sec_node``), filled in the pass that checks each is stored
   once and orders them by their node's preorder number (``sec_pre``,
@@ -28,15 +28,18 @@ its parent array; this module never reads the heap's edge tables.
 then the deltas m_i - m_{i-1} + 1 in unary, each value followed by a 0.
 The chain never drops by more than one per position, so every delta is
 nonnegative, and the depths sum so that the vector holds exactly n ones.
-Depth recovery is rank1(select0(i)) - i + 1.
+Position i's code ends with its zero at bit m_i + 2(i - 1) (0-based), so
+the encoder starts from all ones and clears those n bits.  Depth
+recovery is rank1(select0(i)) - i + 1.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import cached_property
+from itertools import accumulate
+from operator import add
 
-from .bitvec import BitVector, ParenSequence, parens_from_heap
+from .bitvec import BitVector
 from .heap import PositionHeap
 
 
@@ -75,11 +78,6 @@ class AugmentedHeap:
         self._sec_node = sec_node
         self._sec_pre = array("i", [p for p, _ in pairs])
         self._sec_pos = array("i", [pos for _, pos in pairs])
-
-    @cached_property
-    def parens(self) -> ParenSequence:
-        """Balanced-parenthesis encoding of the heap's preorder."""
-        return parens_from_heap(self.heap)
 
     # ------------------------------------------------------------------
     # queries
@@ -139,40 +137,46 @@ class MrpBits:
     @classmethod
     def from_depths(cls, depths) -> "MrpBits":
         n = len(depths)
-        out = bytearray()
-        prev = None
-        for m in depths:
-            d = m if prev is None else m - prev + 1
-            if d < 0:
-                raise ValueError(
-                    f"maximal-reach chain dropped by more than one ({prev} -> {m})"
-                )
-            out.extend(b"\x01" * d)
-            out.append(0)
-            prev = m
-        bits = BitVector(out)
-        if bits.nbits != 2 * n:
-            raise AssertionError(
-                f"encoding is {bits.nbits} bits for n={n}; depth sum must equal n"
-            )
-        return cls(bits, n)
+        return cls(_unary(map(add, depths, range(0, 2 * n, 2)), 2 * n), n)
 
     @classmethod
     def from_values(cls, values) -> "MrpBits":
         """Encode an explicit (m1, delta2, ..., deltan) vector; for tests."""
-        out = bytearray()
-        for d in values:
-            if d < 0:
-                raise ValueError("unary encoding needs nonnegative values")
-            out.extend(b"\x01" * d)
-            out.append(0)
-        return cls(BitVector(out), len(values))
+        n = len(values)
+        zeros = map(add, accumulate(values), range(n))
+        return cls(_unary(zeros, sum(values) + n), n)
 
     def mrp_depth(self, i: int) -> int:
         """Depth of the maximal-reach node of position i, from bits alone."""
         if not 1 <= i <= self.n:
             raise ValueError(f"position out of range: {i}")
         return self.bits.rank1(self.bits.select0(i)) - i + 1
+
+
+def _unary(zeros, nbits: int) -> BitVector:
+    """nbits bits, all ones except at the 0-based indices in zeros.
+
+    The zeros must rise strictly, or some unary value would be negative
+    (a reach chain that drops by more than one); the last must be bit
+    nbits - 1, or the values do not sum as the caller says.
+    """
+    out = bytearray(b"\x01") * nbits
+    last = -1
+    for z in zeros:
+        if z <= last:
+            raise ValueError(
+                f"negative unary value: zero at bit {z} after bit {last}"
+                " (a maximal-reach chain may drop by at most one)"
+            )
+        # a zero past the end fails the check below, unless a later drop raises
+        if z < nbits:
+            out[z] = 0
+        last = z
+    if last != nbits - 1:
+        raise AssertionError(
+            f"unary code needs {last + 1} bits, not {nbits}; depth sum must equal n"
+        )
+    return BitVector(out)
 
 
 def augment(heap: PositionHeap) -> AugmentedHeap:

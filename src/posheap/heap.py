@@ -25,10 +25,10 @@ rely on (``augmented``, ``search``, ``recover_text``, ``index_dot``).
 The builder records each node's parent at creation (``_parent``;
 parent(w) < w).  With the text it fixes the node's place in the tree,
 so nothing more is stored for that.  Node w's path label is
-T[w..w+depth(w)-1], a prefix of its own suffix, so its in-letter
-T[w+depth(w)-1] is read from the text.  The depths are one cached array
-(``_depths``) that construction never needs: a depth-3 node is the one
-whose great-grandparent is the root.
+T[w..w+depth(w)-1], a prefix of its own suffix, so ``path_label`` is a
+slice of the text and the in-letter T[w+depth(w)-1] is one byte of it.
+The depths are one cached array (``_depths``) that construction never
+needs: a depth-3 node is the one whose great-grandparent is the root.
 
 Edges live in ``_deep``, one {parent: child} dict per letter.  As in
 Ukkonen's algorithm, the virtual bottom (node -1, the root's suffix link)
@@ -47,7 +47,6 @@ from __future__ import annotations
 import mmap
 import operator
 from array import array
-from dataclasses import dataclass
 
 # Construction moves the edges of depth-2 parents into ``l3`` once the
 # text is at least this long.  Below it the level-3 map's pages would
@@ -84,20 +83,6 @@ def to_bytes(text) -> bytes:
     if isinstance(text, str):
         return text.encode("latin-1")
     raise TypeError(f"expected str or bytes-like text, got {type(text).__name__}")
-
-
-@dataclass(frozen=True)
-class NodeView:
-    """Snapshot of one node, for inspection and serialization."""
-
-    id: int
-    parent: int | None
-    in_letter: int | None
-    suffix_link: int | None
-    depth: int
-    primary: int | None
-    secondary: int | None
-    children: dict[int, int]
 
 
 class PositionHeap:
@@ -534,30 +519,10 @@ class PositionHeap:
         return self._secondary.get(v)
 
     def path_label(self, v: int) -> bytes:
-        """Edge letters from the root down to v, by a walk up the parent
-        chain; its node u at depth d has in-letter T[u+d-1]."""
+        """Edge letters from the root down to v: T[v..v+depth(v)-1], the
+        prefix of v's own suffix that v represents (empty for the root)."""
         self._check_node(v)
-        parent = self._parent
-        chain = []
-        while v != 0:
-            chain.append(v)
-            v = parent[v]
-        chain.reverse()
-        text = self._text
-        return bytes(text[u + d - 2] for d, u in enumerate(chain, 1))
-
-    def node(self, v: int) -> NodeView:
-        self._check_node(v)
-        return NodeView(
-            id=v,
-            parent=self.parent(v),
-            in_letter=self.in_letter(v),
-            suffix_link=self.suffix_link(v),
-            depth=self.depth(v),
-            primary=self.primary(v),
-            secondary=self.secondary(v),
-            children=dict(self.children_of(v)),
-        )
+        return bytes(self._text[v - 1:v - 1 + self._depths()[v]])
 
     def copy(self) -> "PositionHeap":
         """Deep snapshot; used to test prefix consistency of the builder."""

@@ -13,7 +13,7 @@ import random
 from array import array
 
 from .augmented import augment, naive_mrp_nodes
-from .bitvec import BitVector
+from .bitvec import BitVector, parens_from_heap
 from .heap import (
     build,
     h_oracle,
@@ -65,13 +65,14 @@ def check_construction(alphabet: bytes = b"ab", max_len: int = 12,
     return cases, None
 
 
-def _occurrences(s: bytes, w: bytes) -> int:
-    count = 0
-    at = s.find(w)
-    while at != -1:
-        count += 1
-        at = s.find(w, at + 1)
-    return count
+def _represented(h, w: bytes) -> bool:
+    """w is a path label of h, by a root walk through ``child``."""
+    cur = 0
+    for c in w:
+        cur = h.child(cur, c)
+        if cur is None:
+            return False
+    return True
 
 
 def _has_increasing_prefix_chain(s: bytes, w: bytes) -> bool:
@@ -87,25 +88,14 @@ def _has_increasing_prefix_chain(s: bytes, w: bytes) -> bool:
 
 def check_theorem_properties(alphabet: bytes = b"ab", max_len: int = 12
                              ) -> tuple[int, str | None]:
-    """Represented-set properties: factorial closure, the increasing-
-    positions characterization, the frequency implication, and the
-    depth bound against brute-force h(T)."""
+    """Represented-set properties: the path labels against root walks
+    through the edge tables, factorial closure, the increasing-positions
+    characterization, the frequency implication, and the depth bound
+    against brute-force h(T)."""
     cases = 0
     for s in all_strings(alphabet, max_len):
         h = index(s)
-        rep = set()
-
-        def represented(w: bytes) -> bool:
-            cur = 0
-            for c in w:
-                nxt = h.child(cur, c)
-                if nxt is None:
-                    return False
-                cur = nxt
-            return True
-
-        for v in range(1, h.node_count()):
-            rep.add(h.path_label(v))
+        rep = {h.path_label(v) for v in range(1, h.node_count())}
         # factorial closure: dropping the first letter stays represented
         # (dropping the last letter is the parent, represented trivially)
         for w in rep:
@@ -120,8 +110,11 @@ def check_theorem_properties(alphabet: bytes = b"ab", max_len: int = 12
                 if w in seen:
                     continue
                 seen.add(w)
-                occ = _occurrences(s, w)
                 is_rep = w in rep
+                # the labels come from the text; the edge tables must agree
+                if _represented(h, w) != is_rep:
+                    return cases, f"edge walk disagrees with path labels on {s!r}: {w!r}"
+                occ = len(find_all_naive(s, w))
                 if occ >= len(w):
                     best_h = max(best_h, len(w))
                     if not is_rep:
@@ -220,7 +213,7 @@ def check_search_random(n: int = 10_000, pairs: int = 10_000,
 def _ancestor_tables(h, a):
     """Per-heap tables for the three ancestor methods."""
     n_nodes = h.node_count()
-    parens = a.parens
+    parens = parens_from_heap(h)
     close_of = array("i", (parens.find_close(parens.open_of[v]) for v in range(n_nodes)))
     return a.pre, a.size, parens.open_of, close_of, h._parent
 

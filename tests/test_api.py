@@ -11,7 +11,6 @@ def _public(cls):
 def test_all_names():
     assert posheap.__all__ == [
         "PositionHeap",
-        "NodeView",
         "build",
         "index",
         "oracle_build",
@@ -54,7 +53,6 @@ def test_position_heap_methods():
         "finalized",
         "in_letter",
         "n",
-        "node",
         "node_count",
         "parent",
         "path_label",
@@ -74,7 +72,6 @@ def test_augmented_heap_methods():
         "mrp_depths",
         "mrp_node",
         "node_of",
-        "parens",
         "subtree_nodes",
     ]
 

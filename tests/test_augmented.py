@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from posheap import (
     index,
     is_ancestor_walk,
     naive_mrp_nodes,
+    parens_from_heap,
 )
 
 from conftest import REF_MRP_DEEP, REF_TEXT, all_strings, fibonacci_word
@@ -142,6 +144,7 @@ def check_ancestor_structures(s: bytes, flat_threshold: int) -> None:
         h = index(s)
     assert h._flat == (len(s) >= flat_threshold)
     a = augment(h)
+    parens = parens_from_heap(h)
     nodes = range(h.node_count())
     rng = random.Random(len(s) * 31)
     pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(100)]
@@ -149,7 +152,7 @@ def check_ancestor_structures(s: bytes, flat_threshold: int) -> None:
     for u, v in pairs:
         expect = is_ancestor_walk(h, u, v)
         assert a.is_ancestor(u, v) == expect
-        assert a.parens.is_ancestor(u, v) == expect
+        assert parens.is_ancestor(u, v) == expect
     for v in nodes:
         below = [w for w in nodes if is_ancestor_walk(h, v, w)]
         assert sorted(a.subtree_nodes(v)) == below
@@ -174,11 +177,12 @@ def test_ancestor_structures_adversarial(text, flat_threshold):
 
 def test_ancestor_structures_all_pairs_reference(ref_heap):
     a = augment(ref_heap)
+    parens = parens_from_heap(ref_heap)
     for u in range(12):
         for v in range(12):
             expect = is_ancestor_walk(ref_heap, u, v)
             assert a.is_ancestor(u, v) == expect
-            assert a.parens.is_ancestor(u, v) == expect
+            assert parens.is_ancestor(u, v) == expect
 
 
 def test_subtree_nodes(ref_heap, node_by_label):
@@ -231,6 +235,36 @@ def test_encode_all_distinct_letters():
 def test_encoder_rejects_negative_delta():
     with pytest.raises(ValueError):
         MrpBits.from_depths([3, 1])  # drop of 2 is impossible
+    for depths in ([-1, 2], [5, 1], [1, 3, 1, 1]):
+        with pytest.raises(ValueError):
+            MrpBits.from_depths(depths)
+    for values in ([-1], [1, -1], [5, -3]):
+        with pytest.raises(ValueError):
+            MrpBits.from_values(values)
+
+
+def test_encoder_rejects_wrong_depth_sum():
+    # the depths must sum to n, so the last one is 1
+    for depths in ([2], [0], [1, 2], [3, 2]):
+        with pytest.raises(AssertionError):
+            MrpBits.from_depths(depths)
+
+
+@given(st.lists(st.integers(min_value=0), max_size=300))
+def test_from_values_matches_from_depths(balls):
+    # n balls in n bins give n nonnegative values that sum to n: the
+    # unary values of a valid depth chain, which ends at depth 1
+    n = len(balls)
+    values = [0] * n
+    for b in balls:
+        values[b % n] += 1
+    depths = [m - i for i, m in enumerate(accumulate(values))]
+    by_values = MrpBits.from_values(values)
+    by_depths = MrpBits.from_depths(depths)
+    assert by_values.bits.nbits == by_depths.bits.nbits == 2 * n
+    assert by_values.bits.words == by_depths.bits.words
+    for i in range(1, n + 1):
+        assert by_depths.mrp_depth(i) == depths[i - 1]
 
 
 @given(texts)

@@ -364,6 +364,23 @@ def test_copy_of_flat_heap_writes_few_pages(monkeypatch):
     assert structurally_equal(snap, h) is None
 
 
+@given(texts)
+def test_path_labels_form_a_trie(s):
+    # labels are slices of the text: each must extend its parent's label
+    # by its in-letter, and that edge must lead to the node
+    import posheap.heap as hp
+
+    for threshold in (hp._FLAT_THRESHOLD, 4):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hp, "_FLAT_THRESHOLD", threshold)
+            h = hp.build(s)
+        assert h._flat == (len(s) >= threshold)
+        for v in range(1, h.node_count()):
+            p, c = h.parent(v), h.in_letter(v)
+            assert h.path_label(v) == h.path_label(p) + bytes([c])
+            assert h.child(p, c) == v
+
+
 def test_path_label_prefix_property_exhaustive():
     for s in all_strings(b"ab", 10, min_len=1):
         h = index(s)
@@ -496,19 +513,16 @@ def test_append_reaches_flat_mode(monkeypatch):
             assert diff is None, f"{s!r}: {diff}"
 
 
-def test_node_view(ref_heap, node_by_label):
+def test_node_accessors(ref_heap, node_by_label):
     v = node_by_label[b"ab"]
-    view = ref_heap.node(v)
-    assert view.id == v
-    assert view.parent == node_by_label[b"a"]
-    assert view.in_letter == ord("b")
-    assert view.suffix_link == node_by_label[b"b"]
-    assert view.depth == 2
-    assert view.primary == 2
-    assert view.secondary == 12
-    assert set(view.children) == {ord("a"), ord("b")}
-    root = ref_heap.node(0)
-    assert root.parent is None and root.primary is None
+    assert ref_heap.parent(v) == node_by_label[b"a"]
+    assert ref_heap.in_letter(v) == ord("b")
+    assert ref_heap.suffix_link(v) == node_by_label[b"b"]
+    assert ref_heap.depth(v) == 2
+    assert ref_heap.primary(v) == 2
+    assert ref_heap.secondary(v) == 12
+    assert {c for c, _ in ref_heap.children_of(v)} == {ord("a"), ord("b")}
+    assert ref_heap.parent(0) is None and ref_heap.primary(0) is None
 
 
 def test_children_sorted_by_letter(monkeypatch):
